@@ -79,12 +79,12 @@ let run seed count max_dims backend ulps atol shrink max_shrink_evals
     | "all" -> None
     | s -> (
         let names = comma_list s in
-        let known = [ "compiled"; "openmp"; "opencl" ] in
+        let known = [ "compiled"; "openmp"; "opencl"; "native" ] in
         match List.filter (fun n -> not (List.mem n known)) names with
         | [] -> Some names
         | bad ->
             Printf.eprintf
-              "sffuzz: unknown backend %s (compiled|openmp|opencl|all, \
+              "sffuzz: unknown backend %s (compiled|openmp|opencl|native|all, \
                comma-separable)\n"
               (String.concat "," bad);
             exit 2)
@@ -190,7 +190,7 @@ let max_dims_arg =
   Arg.(value & opt int 3 & info [ "max-dims" ] ~doc:"Maximum dimensionality of generated programs (1-3).")
 
 let backend_arg =
-  Arg.(value & opt string "all" & info [ "backend" ] ~doc:"Backends to differentiate against interp: compiled | openmp | opencl | all (comma-separable).")
+  Arg.(value & opt string "all" & info [ "backend" ] ~doc:"Backends to differentiate against interp: compiled | openmp | opencl | native | all (comma-separable).  native is the native tier forced on, also checked bitwise against compiled.")
 
 let ulps_arg =
   Arg.(value & opt int 512 & info [ "ulps" ] ~doc:"ULP tolerance for the differential comparison.")

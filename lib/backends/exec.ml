@@ -121,19 +121,27 @@ let run_rect_closure grids ~params (s : Stencil.t) rect =
   done
 
 (* ------------------------------------------------------------------- *)
-(* Polynomial fast path: the expression is a table of constant-coeff   *)
-(* monomials over grid reads.  Reads are grouped by (grid, scale); one  *)
-(* flat counter per group tracks Σ strideᵢ·scaleᵢ·xᵢ, and each read is  *)
-(* a constant delta off its group's counter.  All of this is computed   *)
-(* once per kernel invocation; running a tile costs index arithmetic    *)
-(* only — the strength-reduced inner loop the emitted C would have.     *)
+(* Polynomial stencils: the expression, factored (Polyform.factorize),   *)
+(* becomes a Native_emit.node.  Reads are resolved to a slot (their     *)
+(* grid's data), a counter (one flat position per distinct stride·scale *)
+(* vector, so grids advancing in lockstep share it) and a constant      *)
+(* delta off that counter.  All of this is computed once per kernel     *)
+(* invocation; running a tile costs index arithmetic only.  The closure *)
+(* tier below evaluates the node; Native runs the same node as compiled *)
+(* code once the structure is hot.                                      *)
 (* ------------------------------------------------------------------- *)
 
-(* Arity-specialised inner evaluators for purely linear (degree-1)
-   stencils over grids that advance in lockstep: the common case (CC
-   Laplacian, Jacobi, boundaries, restriction) becomes an unrolled
-   multiply-add chain with the tap deltas resident in the closure —
-   the code shape the emitted C would compile to. *)
+(* The closure tier evaluates a node one point at a time, performing its
+   float operations in its order.  When every read advances in lockstep
+   (one counter: every HPGMG smoother and residual) the evaluator takes
+   that one position; otherwise it takes the array of counter positions.
+   Both read the same node, so both agree with the emitted code. *)
+type evaluator = One of (int -> float) | Many of (int array -> float)
+
+(* Arity-specialised inner evaluators for the linear taps of a lockstep
+   node: the common case (CC Laplacian, Jacobi, boundaries, restriction,
+   the factors' sub-nodes) becomes an unrolled multiply-add chain with the
+   tap deltas resident in the closure. *)
 let deg1_inner ~kconst ~(taps : (floatarray * int * float) array) =
   let g = Float.Array.unsafe_get in
   match taps with
@@ -226,39 +234,11 @@ let deg1_inner ~kconst ~(taps : (floatarray * int * float) array) =
         done;
         !acc
 
-type prep = {
-  gmeta : (floatarray * int array (* mesh strides *) * int array (* scale *)) array;
-  gdata : floatarray array;
-  n1 : int;
-  c1 : float array;
-  i1 : int array;
-  n2 : int;
-  c2 : float array;
-  i2 : int array;
-  n3 : int;
-  c3 : float array;
-  i3 : int array;
-  n4 : int;
-  c4 : float array;
-  i4 : int array;
-  kconst : float;
-  out_data : floatarray;
-  out_strides : int array;
-  out_map : Affine.t;
-  uniform : bool;
-      (* every group advances in lockstep (equal stride·scale), so a single
-         position counter serves all reads and [eval_uniform] applies *)
-  eval_uniform : int -> float;
-}
-
 (* Unshared higher-degree monomials, evaluated directly from parallel
-   (unboxed) tables: one loop per monomial degree. *)
-let residual_inner ~tap_of (monos : Polyform.mono list) =
-  let by_degree d =
-    List.filter
-      (fun (m : Polyform.mono) -> List.length m.Polyform.reads = d)
-      monos
-  in
+   (unboxed) tables: one loop per monomial degree, in the node's order
+   (its residual is sorted by degree). *)
+let residual_inner ~tap_of (monos : (float * Native_emit.read list) list) =
+  let by_degree d = List.filter (fun (_, rs) -> List.length rs = d) monos in
   let table d =
     let ms = by_degree d in
     let count = List.length ms in
@@ -266,14 +246,14 @@ let residual_inner ~tap_of (monos : Polyform.mono list) =
     let arrs = Array.make (max (count * d) 1) (Float.Array.create 0) in
     let deltas = Array.make (max (count * d) 1) 0 in
     List.iteri
-      (fun i (m : Polyform.mono) ->
-        w.(i) <- m.Polyform.coeff;
+      (fun i (c, rs) ->
+        w.(i) <- c;
         List.iteri
           (fun t r ->
             let a, delta = tap_of r in
             arrs.((i * d) + t) <- a;
             deltas.((i * d) + t) <- delta)
-          m.Polyform.reads)
+          rs)
       ms;
     (count, w, arrs, deltas)
   in
@@ -324,20 +304,19 @@ let residual_inner ~tap_of (monos : Polyform.mono list) =
     done;
     !acc
 
-(* Compile a factored polynomial (Polyform.factorize) into a direct
-   evaluator over a single shared position counter.  Only valid when every
-   read group advances in lockstep. *)
-let rec compile_factored ~tap_of (f : Polyform.factored) =
+(* The node over one shared position. *)
+let rec eval_one slots (f : Native_emit.node) =
+  let tap_of (r : Native_emit.read) = (slots.(r.slot), r.delta) in
   let taps =
     Array.of_list
       (List.map
          (fun (r, w) ->
            let a, d = tap_of r in
            (a, d, w))
-         f.Polyform.flinear)
+         f.linear)
   in
-  let lin = deg1_inner ~kconst:f.Polyform.fconst ~taps in
-  match (f.Polyform.ffactors, f.Polyform.fresidual) with
+  let lin = deg1_inner ~kconst:f.const ~taps in
+  match (f.factors, f.residual) with
   | [], [] -> lin
   | factors, residual ->
       let subs =
@@ -345,7 +324,7 @@ let rec compile_factored ~tap_of (f : Polyform.factored) =
           (List.map
              (fun (r, sub) ->
                let a, d = tap_of r in
-               (a, d, compile_factored ~tap_of sub))
+               (a, d, eval_one slots sub))
              factors)
       in
       let res =
@@ -362,266 +341,219 @@ let rec compile_factored ~tap_of (f : Polyform.factored) =
         (match res with Some r -> acc := !acc +. r pos | None -> ());
         !acc
 
+(* The same node over one position per counter.  Linear taps sit in
+   parallel arrays: every compiled kernel keeps its evaluators alive. *)
+let rec eval_many slots (nd : Native_emit.node) =
+  let g = Float.Array.unsafe_get in
+  let tap (r : Native_emit.read) = (slots.(r.slot), r.ctr, r.delta) in
+  let field f =
+    Array.of_list (List.map (fun ((r : Native_emit.read), _) -> f r) nd.linear)
+  in
+  let la = field (fun r -> slots.(r.slot)) and lc = field (fun r -> r.ctr) in
+  let ld = field (fun r -> r.delta) in
+  let lw = Float.Array.of_list (List.map snd nd.linear) in
+  let facs =
+    Array.of_list (List.map (fun (r, s) -> (tap r, eval_many slots s)) nd.factors)
+  in
+  let res =
+    Array.of_list
+      (List.map (fun (w, rs) -> (w, Array.of_list (List.map tap rs))) nd.residual)
+  in
+  let k = nd.const in
+  fun pos ->
+    let acc = ref k in
+    for i = 0 to Array.length la - 1 do
+      acc :=
+        !acc
+        +. Float.Array.unsafe_get lw i
+           *. g (Array.unsafe_get la i)
+                (Array.unsafe_get pos (Array.unsafe_get lc i) + Array.unsafe_get ld i)
+    done;
+    for i = 0 to Array.length facs - 1 do
+      let (a, c, d), sub = Array.unsafe_get facs i in
+      acc := !acc +. (g a (Array.unsafe_get pos c + d) *. sub pos)
+    done;
+    if Array.length res > 0 then begin
+      let r = ref 0. in
+      for m = 0 to Array.length res - 1 do
+        let w, xs = Array.unsafe_get res m in
+        let q = ref w in
+        for t = 0 to Array.length xs - 1 do
+          let a, c, d = Array.unsafe_get xs t in
+          q := !q *. g a (Array.unsafe_get pos c + d)
+        done;
+        r := !r +. !q
+      done;
+      acc := !acc +. !r
+    end;
+    !acc
+
+type prep = {
+  structure : Native.structure;
+  rank : int;
+  slots : floatarray array;  (* read grids' data, then the output's *)
+  ctr_ss : int array array;  (* per counter: stride·scale per axis *)
+  coeffs : floatarray;
+  deltas : int array;
+  eval : evaluator;
+  out_data : floatarray;
+  out_strides : int array;
+  out_map : Affine.t;
+}
+
 let prepare_poly grids (s : Stencil.t) (poly : Polyform.t) =
-  let groups = ref [] in
-  let group_index (g, (m : Affine.t)) =
-    let key = (g, Ivec.to_list m.Affine.scale) in
-    match List.find_opt (fun (k, _) -> k = key) !groups with
-    | Some (_, idx) -> idx
-    | None ->
-        let idx = List.length !groups in
-        groups := (key, idx) :: !groups;
-        idx
+  let slots = ref [] and ctrs = ref [] in
+  let index_of l x =
+    let rec go i = function
+      | [] ->
+          l := !l @ [ x ];
+          i
+      | y :: rest -> if y = x then i else go (i + 1) rest
+    in
+    go 0 !l
   in
-  let read_delta (g, (m : Affine.t)) =
-    Ivec.dot (Mesh.strides (Grids.find grids g)) m.Affine.offset
+  let read (g, (m : Affine.t)) : Native_emit.read =
+    let strides = Mesh.strides (Grids.find grids g) in
+    {
+      slot = index_of slots g;
+      ctr = index_of ctrs (Array.mapi (fun i st -> st * m.Affine.scale.(i)) strides);
+      delta = Ivec.dot strides m.Affine.offset;
+    }
   in
-  let tables = Array.make (Polyform.max_degree + 1) [] in
-  List.iter
-    (fun (m : Polyform.mono) ->
-      let d = List.length m.Polyform.reads in
-      let entry =
-        ( m.Polyform.coeff,
-          List.map (fun r -> (group_index r, read_delta r)) m.Polyform.reads )
-      in
-      tables.(d) <- entry :: tables.(d))
-    poly.Polyform.monos;
-  let mk_table d =
-    let entries = List.rev tables.(d) in
-    let count = List.length entries in
-    let coeffs = Array.make (max count 1) 0. in
-    let idx = Array.make (max (count * 2 * d) 1) 0 in
-    List.iteri
-      (fun i (c, reads) ->
-        coeffs.(i) <- c;
-        List.iteri
-          (fun t (g, delta) ->
-            idx.((i * 2 * d) + (2 * t)) <- g;
-            idx.((i * 2 * d) + (2 * t) + 1) <- delta)
-          reads)
-      entries;
-    (count, coeffs, idx)
+  let degree (_, rs) = List.length rs in
+  let rec node (f : Polyform.factored) : Native_emit.node =
+    {
+      const = f.Polyform.fconst;
+      linear = List.map (fun (r, w) -> (read r, w)) f.Polyform.flinear;
+      factors = List.map (fun (r, sub) -> (read r, node sub)) f.Polyform.ffactors;
+      residual =
+        List.map
+          (fun (m : Polyform.mono) -> (m.Polyform.coeff, List.map read m.Polyform.reads))
+          f.Polyform.fresidual
+        |> List.stable_sort (fun a b -> compare (degree a) (degree b));
+    }
   in
-  let n1, c1, i1 = mk_table 1 in
-  let n2, c2, i2 = mk_table 2 in
-  let n3, c3, i3 = mk_table 3 in
-  let n4, c4, i4 = mk_table 4 in
-  let ngroups = List.length !groups in
-  (* exactly [ngroups] entries: a zero-read (constant) stencil must yield
-     an empty group table, not a dummy entry *)
-  let gmeta =
-    Array.init ngroups (fun _ -> (Float.Array.create 0, ([||] : int array), ([||] : int array)))
-  in
-  List.iter
-    (fun ((g, scale), idx) ->
-      let mesh = Grids.find grids g in
-      gmeta.(idx) <-
-        (Mesh.data mesh, Mesh.strides mesh, Array.of_list scale))
-    !groups;
+  let body = node (Polyform.factorize poly) in
   let out_mesh = Grids.find grids s.Stencil.output in
-  (* lockstep check: equal stride·scale vectors across all groups means the
-     group counters would always coincide — use one shared counter and the
-     factored evaluator *)
-  let stride_scale (_, strides, scale) =
-    Array.init (Array.length strides) (fun i -> strides.(i) * scale.(i))
-  in
-  let uniform =
-    ngroups = 0
-    ||
-    let ref_vec = stride_scale gmeta.(0) in
-    Array.for_all (fun gm -> Ivec.equal (stride_scale gm) ref_vec) gmeta
-  in
-  let eval_uniform =
-    if uniform then begin
-      let tap_of (g, (m : Affine.t)) =
-        let mesh = Grids.find grids g in
-        (Mesh.data mesh, Ivec.dot (Mesh.strides mesh) m.Affine.offset)
-      in
-      compile_factored ~tap_of (Polyform.factorize poly)
-    end
-    else fun _ -> nan
+  let read_data = List.map (fun g -> Mesh.data (Grids.find grids g)) !slots in
+  let slots = Array.of_list (read_data @ [ Mesh.data out_mesh ]) in
+  let form =
+    {
+      Native_emit.rank = Mesh.dims out_mesh;
+      nslots = Array.length slots - 1;
+      nctrs = List.length !ctrs;
+      body;
+    }
   in
   {
-    gmeta;
-    gdata = Array.map (fun (d, _, _) -> d) gmeta;
-    uniform;
-    eval_uniform;
-    n1;
-    c1;
-    i1;
-    n2;
-    c2;
-    i2;
-    n3;
-    c3;
-    i3;
-    n4;
-    c4;
-    i4;
-    kconst = poly.Polyform.const;
+    structure = Native.structure form;
+    rank = form.Native_emit.rank;
+    slots;
+    ctr_ss = Array.of_list !ctrs;
+    coeffs = Native_emit.coeffs body;
+    deltas = Native_emit.deltas body;
+    eval =
+      (if List.length !ctrs <= 1 then One (eval_one slots body)
+       else Many (eval_many slots body));
     out_data = Mesh.data out_mesh;
     out_strides = Mesh.strides out_mesh;
     out_map = s.Stencil.out_map;
   }
 
+(* Flat index, at the start of the current row, of the counter (or the
+   output) whose geometry starts at [off]; [oidx] holds the outer axes'
+   indices. *)
+let row_start geom oidx ~inner off =
+  let p = ref geom.(off) in
+  for i = 0 to inner - 1 do
+    p := !p + (oidx.(i) * geom.(off + 1 + i))
+  done;
+  !p
+
+(* Run one tile on the closure tier.  [geom] is laid out as
+   Native_emit.program reads it: the tile's counts, each counter's base
+   and per-axis increments, then the output's; a base's inner-axis
+   increment sits last in its block.  [oidx] and [pos] are the tile's own
+   scratch buffers. *)
+let run_cold prep geom oidx pos =
+  let n = prep.rank and nc = Array.length prep.ctr_ss in
+  let inner = n - 1 and oo = n + (nc * (n + 1)) in
+  let outer_total = ref 1 in
+  for i = 0 to inner - 1 do
+    outer_total := !outer_total * geom.(i)
+  done;
+  let inner_cnt = geom.(inner) and out_inc = geom.(oo + n) in
+  let out_data = prep.out_data in
+  Array.fill oidx 0 (Array.length oidx) 0;
+  for _row = 1 to !outer_total do
+    let o = ref (row_start geom oidx ~inner oo) in
+    (match prep.eval with
+    | One f ->
+        let p = ref (if nc = 0 then 0 else row_start geom oidx ~inner n) in
+        let inc = if nc = 0 then 0 else geom.(n + n) in
+        for _ = 1 to inner_cnt do
+          Float.Array.unsafe_set out_data !o (f !p);
+          p := !p + inc;
+          o := !o + out_inc
+        done
+    | Many f ->
+        for c = 0 to nc - 1 do
+          pos.(c) <- row_start geom oidx ~inner (n + (c * (n + 1)))
+        done;
+        for _ = 1 to inner_cnt do
+          Float.Array.unsafe_set out_data !o (f pos);
+          o := !o + out_inc;
+          for c = 0 to nc - 1 do
+            Array.unsafe_set pos c
+              (Array.unsafe_get pos c + Array.unsafe_get geom (n + (c * (n + 1)) + n))
+          done
+        done);
+    (* odometer over the outer axes *)
+    let i = ref (inner - 1) in
+    while !i >= 0 do
+      oidx.(!i) <- oidx.(!i) + 1;
+      if oidx.(!i) >= geom.(!i) then begin
+        oidx.(!i) <- 0;
+        decr i
+      end
+      else i := -1
+    done
+  done
+
 (* Instantiate one tile of a prepared polynomial stencil: all geometry is
-   computed here, once; the returned thunk only runs the loops.  The thunk
-   owns its odometer buffers, so distinct tiles may run concurrently while
-   one tile's thunk is reused across kernel invocations for free. *)
+   computed here, once; the returned thunk asks the native tier what to
+   run and runs it.  The thunk owns its odometer and position buffers, so
+   distinct tiles may run concurrently while one tile's thunk is reused
+   across kernel invocations for free.  It is the only closure per tile:
+   every compiled kernel keeps its tiles alive. *)
 let instantiate_poly prep rect =
   let cnt = Domain.counts rect in
   let n = Ivec.dims cnt in
-  let ngroups = Array.length prep.gmeta in
-  let gdata = prep.gdata in
-  (* per-tile geometry: group bases and per-axis increments *)
-  let gbase = Array.make ngroups 0 in
-  let ginc = Array.make_matrix ngroups n 0 in
+  let nc = Array.length prep.ctr_ss in
+  let geom = Array.make (n + ((nc + 1) * (n + 1))) 0 in
+  Array.blit cnt 0 geom 0 n;
+  let place off base scale =
+    geom.(off) <- base;
+    for i = 0 to n - 1 do
+      geom.(off + 1 + i) <- scale.(i) * rect.Domain.rstride.(i)
+    done
+  in
   Array.iteri
-    (fun g (_, strides, scale) ->
-      let b = ref 0 in
-      for i = 0 to n - 1 do
-        b := !b + (strides.(i) * scale.(i) * rect.Domain.rlo.(i));
-        ginc.(g).(i) <- strides.(i) * scale.(i) * rect.Domain.rstride.(i)
-      done;
-      gbase.(g) <- !b)
-    prep.gmeta;
-  let out_origin = Affine.apply prep.out_map rect.Domain.rlo in
-  let out_base = Ivec.dot prep.out_strides out_origin in
-  let out_inc =
-    Array.init n (fun i ->
-        prep.out_strides.(i)
-        * prep.out_map.Affine.scale.(i)
-        * rect.Domain.rstride.(i))
-  in
-  let inner = n - 1 in
-  let inner_cnt = cnt.(inner) in
-  let ginc_inner = Array.init ngroups (fun g -> ginc.(g).(inner)) in
-  let out_inner_inc = out_inc.(inner) in
-  let { n1; c1; i1; n2; c2; i2; n3; c3; i3; n4; c4; i4; kconst; out_data; _ }
-      =
-    prep
-  in
-  let uniform = prep.uniform in
-  let outer_total = ref 1 in
-  for i = 0 to inner - 1 do
-    outer_total := !outer_total * cnt.(i)
-  done;
-  let outer_total = !outer_total in
-  let oidx = Array.make (max inner 1) 0 in
-  let bump () =
-    let rec go i =
-      if i >= 0 then begin
-        oidx.(i) <- oidx.(i) + 1;
-        if oidx.(i) >= cnt.(i) then begin
-          oidx.(i) <- 0;
-          go (i - 1)
-        end
-      end
-    in
-    go (inner - 1)
-  in
-  if uniform then begin
-    (* single shared counter; degree-1-only polynomials additionally get an
-       unrolled arity-specialised evaluator *)
-    let inc0 = if ngroups = 0 then out_inc else ginc.(0) in
-    let base0 = if ngroups = 0 then out_base else gbase.(0) in
-    let inc0_inner = if ngroups = 0 then out_inner_inc else ginc_inner.(0) in
-    let eval = prep.eval_uniform in
-    fun () ->
-    Array.fill oidx 0 (Array.length oidx) 0;
-    for _row = 0 to outer_total - 1 do
-      let pos = ref base0 and out_flat = ref out_base in
-      for i = 0 to inner - 1 do
-        pos := !pos + (oidx.(i) * inc0.(i));
-        out_flat := !out_flat + (oidx.(i) * out_inc.(i))
-      done;
-      for _c = 0 to inner_cnt - 1 do
-        Float.Array.unsafe_set out_data !out_flat (eval !pos);
-        pos := !pos + inc0_inner;
-        out_flat := !out_flat + out_inner_inc
-      done;
-      bump ()
-    done
-  end
-  else begin
-    let gpos = Array.make (max ngroups 1) 0 in
-    let rd g d =
-      Float.Array.unsafe_get
-        (Array.unsafe_get gdata g)
-        (Array.unsafe_get gpos g + d)
-    in
-    fun () ->
-    Array.fill oidx 0 (Array.length oidx) 0;
-    for _row = 0 to outer_total - 1 do
-      for g = 0 to ngroups - 1 do
-        let flat = ref gbase.(g) in
-        let inc = ginc.(g) in
-        for i = 0 to inner - 1 do
-          flat := !flat + (oidx.(i) * inc.(i))
-        done;
-        gpos.(g) <- !flat
-      done;
-      let out_flat = ref out_base in
-      for i = 0 to inner - 1 do
-        out_flat := !out_flat + (oidx.(i) * out_inc.(i))
-      done;
-      for _c = 0 to inner_cnt - 1 do
-        let acc = ref kconst in
-        for m = 0 to n1 - 1 do
-          let b = m * 2 in
-          acc :=
-            !acc
-            +. (Array.unsafe_get c1 m
-               *. rd (Array.unsafe_get i1 b) (Array.unsafe_get i1 (b + 1)))
-        done;
-        for m = 0 to n2 - 1 do
-          let b = m * 4 in
-          acc :=
-            !acc
-            +. Array.unsafe_get c2 m
-               *. rd (Array.unsafe_get i2 b) (Array.unsafe_get i2 (b + 1))
-               *. rd
-                    (Array.unsafe_get i2 (b + 2))
-                    (Array.unsafe_get i2 (b + 3))
-        done;
-        for m = 0 to n3 - 1 do
-          let b = m * 6 in
-          acc :=
-            !acc
-            +. Array.unsafe_get c3 m
-               *. rd (Array.unsafe_get i3 b) (Array.unsafe_get i3 (b + 1))
-               *. rd
-                    (Array.unsafe_get i3 (b + 2))
-                    (Array.unsafe_get i3 (b + 3))
-               *. rd
-                    (Array.unsafe_get i3 (b + 4))
-                    (Array.unsafe_get i3 (b + 5))
-        done;
-        for m = 0 to n4 - 1 do
-          let b = m * 8 in
-          acc :=
-            !acc
-            +. Array.unsafe_get c4 m
-               *. rd (Array.unsafe_get i4 b) (Array.unsafe_get i4 (b + 1))
-               *. rd
-                    (Array.unsafe_get i4 (b + 2))
-                    (Array.unsafe_get i4 (b + 3))
-               *. rd
-                    (Array.unsafe_get i4 (b + 4))
-                    (Array.unsafe_get i4 (b + 5))
-               *. rd
-                    (Array.unsafe_get i4 (b + 6))
-                    (Array.unsafe_get i4 (b + 7))
-        done;
-        Float.Array.unsafe_set out_data !out_flat !acc;
-        out_flat := !out_flat + out_inner_inc;
-        for g = 0 to ngroups - 1 do
-          gpos.(g) <- gpos.(g) + Array.unsafe_get ginc_inner g
-        done
-      done;
-      bump ()
-    done
-  end
+    (fun c ss -> place (n + (c * (n + 1))) (Ivec.dot ss rect.Domain.rlo) ss)
+    prep.ctr_ss;
+  place
+    (n + (nc * (n + 1)))
+    (Ivec.dot prep.out_strides (Affine.apply prep.out_map rect.Domain.rlo))
+    (Array.mapi (fun i st -> st * prep.out_map.Affine.scale.(i)) prep.out_strides);
+  let oidx = Array.make (max (n - 1) 1) 0 and pos = Array.make (max nc 1) 0 in
+  fun () ->
+    match Native.select prep.structure with
+    | Native.Run f -> f prep.slots prep.coeffs geom prep.deltas
+    | Native.Interpret -> run_cold prep geom oidx pos
+    | Native.Measure ->
+        let t0 = Native.clock () in
+        run_cold prep geom oidx pos;
+        Native.charge prep.structure (Native.clock () - t0)
 
 let nop () = ()
 

@@ -2,24 +2,30 @@
 
     A backend lowers a stencil group to a schedule of (stencil, lattice
     tile) tasks.  {!prepare_compiled} performs the per-invocation
-    compilation work for one stencil — polynomial normalisation
-    ({!Polyform}), read grouping, delta computation, grid lookups — and
-    returns a reusable, thread-safe tile runner; executing the (many)
-    tiles then costs only index arithmetic.  Two execution strategies
-    implement the same semantics:
+    compilation work for one stencil — polynomial normalisation and
+    factoring ({!Polyform}), lowering to a {!Native_emit.node}, grid lookups
+    — and returns a reusable, thread-safe tile runner; executing the (many)
+    tiles then costs only index arithmetic.  Execution strategies:
 
     - {!run_rect_interp} walks the expression AST at every point with
       bounds-checked mesh access — slow, obviously correct, the oracle.
-    - the compiled path plays the role of the generated C: per-grid flat
-      indices are strength-reduced to incremental adds, polynomial
-      expressions become unrolled monomial-table loops, and the inner loop
+    - the closure tier plays the role of the generated C: per-counter flat
+      indices are strength-reduced to incremental adds, the factored
+      polynomial is evaluated by a tree of closures, and the inner loop
       performs unchecked reads/writes (legality is established beforehand
-      by {!Sf_analysis.Footprint.check_in_bounds}).
+      by {!Sf_analysis.Footprint.check_in_bounds}).  Non-polynomial bodies
+      (a grid read in a denominator) use a closure walk of the AST.
+    - the native tier ({!Native}): once a polynomial structure is hot, the
+      same node is printed as OCaml, built with [ocamlopt -shared], loaded
+      with [Dynlink], and its tiles run there.  It performs the closure
+      tier's float operations in the same order, so promotion never
+      changes a bit of any result, at any worker count.
 
-    Execution order within a rect is row-major over the lattice; in-place
-    stencils therefore see earlier writes of the same sweep, which is the
-    DSL's sequential semantics.  Backends only reorder or parallelise when
-    the analysis proves it unobservable. *)
+    Execution order within a rect is row-major over the lattice, each point
+    stored before the next is computed; in-place stencils therefore see
+    earlier writes of the same sweep, which is the DSL's sequential
+    semantics.  Backends only reorder or parallelise when the analysis
+    proves it unobservable. *)
 
 open Sf_mesh
 open Snowflake
@@ -32,8 +38,9 @@ val prepare_compiled :
   (Domain.resolved -> unit -> unit)
 (** Two-stage: applying the result to a tile *instantiates* it (geometry,
     buffers — do this once per tile, at plan-build time) and yields a
-    zero-setup thunk executing the tile.  Thunks for distinct tiles may run
-    concurrently; one thunk is not reentrant. *)
+    zero-setup thunk executing the tile, on the closure tier until the
+    stencil's structure is promoted to the native tier.  Thunks for
+    distinct tiles may run concurrently; one thunk is not reentrant. *)
 
 val run_rect_compiled :
   Grids.t -> params:(string -> float) -> Stencil.t -> Domain.resolved -> unit

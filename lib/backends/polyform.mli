@@ -4,10 +4,11 @@
     polynomials over grid reads once scalar parameters are substituted:
     the CC Laplacian is linear, a variable-coefficient GSRB update is
     cubic (dinv · β · u terms).  The compiled backend normalises the
-    expression tree into [const + Σ coeff · r₁(·r₂(·r₃))] and executes the
-    monomial table with tight index arithmetic, replacing the closure-tree
-    walk — the same strength reduction the paper's micro-compiler gets by
-    emitting straight-line C.
+    expression tree into [const + Σ coeff · r₁(·r₂(·r₃))], factors it
+    ({!factorize}) and evaluates that with tight index arithmetic — on the
+    closure tier, or as emitted native code ({!Native_emit}) — replacing the
+    AST walk: the same strength reduction the paper's micro-compiler gets
+    by emitting straight-line C.
 
     Normalisation reassociates floating-point arithmetic, so results may
     differ from the reference interpreter by rounding (≲ 1e-12
@@ -21,19 +22,15 @@ open Snowflake
 
 type read = string * Affine.t
 
-type mono = { coeff : float; reads : read list (* length 1..max_degree *) }
+type mono = { coeff : float; reads : read list (* length 1..4 *) }
 
 type t = { const : float; monos : mono list }
 
-val max_degree : int
-(** 4 — enough for every operator in this repository with headroom. *)
-
-val max_monos : int
-(** 128 — expansion size guard. *)
-
 val of_expr : params:(string -> float) -> Expr.t -> t option
-(** [None] when the expression is not a (small) polynomial over reads.
-    Like monomials are merged; zero-coefficient monomials dropped. *)
+(** [None] when the expression is not a small polynomial over reads: of
+    degree at most 4 (enough for every operator in this repository with
+    headroom) and at most 128 monomials.  Like monomials are merged;
+    zero-coefficient monomials dropped. *)
 
 val eval : t -> read_value:(read -> float) -> float
 (** Reference evaluation of the normal form (used by tests to check the

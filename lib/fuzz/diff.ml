@@ -8,12 +8,15 @@ type target = {
   config : Config.t;
   tname : string;
   apps : int;
+  native : bool;
 }
 
 let default_targets ~dims =
   let w n c = Config.with_workers n c in
   let tile = Some (List.init dims (fun _ -> 3)) in
-  let t backend config tname = { backend; config; tname; apps = 1 } in
+  let t ?(native = false) backend config tname =
+    { backend; config; tname; apps = 1; native }
+  in
   [
     t Jit.Compiled Config.default "compiled";
     t Jit.Openmp (w 1 Config.default) "openmp/w1";
@@ -41,17 +44,22 @@ let default_targets ~dims =
       config = w 4 Config.default;
       tname = "openmp/w4/ttile3";
       apps = 3;
+      native = false;
     };
+    (* the native tier, forced on for every structure: besides the interp
+       tolerance it must match the closure tier bit for bit *)
+    t ~native:true Jit.Compiled Config.default "native";
+    t ~native:true Jit.Openmp (w 4 Config.default) "native/w4";
   ]
+
+let family t = if t.native then "native" else Jit.backend_name t.backend
 
 let targets_for ~only ~dims =
   let all = default_targets ~dims in
   match only with
   | None -> all
   | Some names ->
-      List.filter
-        (fun t -> List.mem (Jit.backend_name t.backend) names)
-        all
+      List.filter (fun t -> List.mem (family t) names) all
 
 type divergence = {
   target : string;
@@ -59,6 +67,7 @@ type divergence = {
   point : int list;
   expected : float;
   got : float;
+  oracle : string;
   crashed : string option;
 }
 
@@ -67,8 +76,8 @@ let divergence_to_string d =
   | Some err -> Printf.sprintf "%s crashed: %s" d.target err
   | None ->
       Printf.sprintf
-        "%s diverges from interp on grid %s at (%s): %.17g vs %.17g (%d ulps)"
-        d.target d.grid
+        "%s diverges from %s on grid %s at (%s): %.17g vs %.17g (%d ulps)"
+        d.target d.oracle d.grid
         (String.concat ", " (List.map string_of_int d.point))
         d.expected d.got
         (Fcmp.ulp_diff d.expected d.got)
@@ -89,7 +98,15 @@ let run_target spec target =
         Jit.compile_time_tiled ~config:target.config ~reps:target.apps
           target.backend ~shape:spec.shape spec.group
   in
-  kernel.Kernel.run ~params:spec.params grids;
+  let run () = kernel.Kernel.run ~params:spec.params grids in
+  if target.native then Native.with_mode Native.Force run else run ();
+  grids
+
+(* The closure tier's result: what a native target must equal bitwise. *)
+let run_closure spec =
+  let grids = Gen.build_grids spec in
+  let kernel = Jit.compile Jit.Compiled ~shape:spec.shape spec.group in
+  Native.with_mode Native.Off (fun () -> kernel.Kernel.run ~params:spec.params grids);
   grids
 
 let run_reference ?(apps = 1) spec =
@@ -100,12 +117,13 @@ let run_reference ?(apps = 1) spec =
   done;
   grids
 
-let compare_grids ~ulps ~atol ~target reference got =
+(* The first cell, grid by grid, where [first] finds [got] disagreeing
+   with [reference]. *)
+let compare_with ~first ~oracle ~target reference got =
   let rec go = function
     | [] -> Ok ()
     | name :: rest -> (
-        let a = Grids.find reference name and b = Grids.find got name in
-        match Mesh.first_mismatch ~ulps ~atol a b with
+        match first (Grids.find reference name) (Grids.find got name) with
         | None -> go rest
         | Some (point, expected, got) ->
             Error
@@ -115,10 +133,41 @@ let compare_grids ~ulps ~atol ~target reference got =
                 point = Array.to_list point;
                 expected;
                 got;
+                oracle;
                 crashed = None;
               })
   in
   go (Grids.names reference)
+
+let compare_grids ~ulps ~atol =
+  compare_with ~first:(Mesh.first_mismatch ~ulps ~atol) ~oracle:"interp"
+
+(* Bit for bit: tells -0. from 0. and NaN payloads apart, unlike a
+   0-ULP comparison. *)
+let first_bit_difference a b =
+  let da = Mesh.data a and db = Mesh.data b in
+  let bits d i = Int64.bits_of_float (Float.Array.get d i) in
+  let rec find i =
+    if i = Float.Array.length da then None
+    else if Int64.equal (bits da i) (bits db i) then find (i + 1)
+    else Some i
+  in
+  Option.map
+    (fun i ->
+      let rem = ref i in
+      let point =
+        Array.map
+          (fun st ->
+            let x = !rem / st in
+            rem := !rem mod st;
+            x)
+          (Mesh.strides a)
+      in
+      (point, Float.Array.get da i, Float.Array.get db i))
+    (find 0)
+
+let compare_bits =
+  compare_with ~first:first_bit_difference ~oracle:"the closure tier (bitwise)"
 
 let check ?(ulps = 512) ?(atol = 1e-11) ~targets spec =
   (* one oracle per application count: a time-tiled target doing k
@@ -132,6 +181,7 @@ let check ?(ulps = 512) ?(atol = 1e-11) ~targets spec =
         Hashtbl.add references apps g;
         g
   in
+  let closure = lazy (run_closure spec) in
   let rec go = function
     | [] -> Ok ()
     | t :: rest -> (
@@ -146,14 +196,20 @@ let check ?(ulps = 512) ?(atol = 1e-11) ~targets spec =
                 point = [];
                 expected = Float.nan;
                 got = Float.nan;
+                oracle = "interp";
                 crashed = Some (Printexc.to_string e);
               }
         | got -> (
-            match
+            let vs_interp () =
               compare_grids ~ulps ~atol ~target:t.tname
                 (reference_for (max 1 t.apps))
                 got
-            with
+            in
+            let vs_closure () =
+              if t.native then compare_bits ~target:t.tname (Lazy.force closure) got
+              else Ok ()
+            in
+            match Result.bind (vs_interp ()) vs_closure with
             | Ok () -> go rest
             | Error d -> Error d))
   in
@@ -241,4 +297,5 @@ let injected_target bug =
     config = Config.default;
     tname = buggy_name;
     apps = (match bug with Mis_skew_tile -> 2 | _ -> 1);
+    native = false;
   }

@@ -18,25 +18,34 @@ type target = {
           against k interp applications — the temporal-blocking oracle.
           [Custom] backends with [apps > 1] must build the k-application
           kernel themselves. *)
+  native : bool;
+      (** run under [Native.Force]: every polynomial structure is promoted
+          to the native tier on first use, and the result must also equal
+          the [compiled] backend's closure-tier result bit for bit *)
 }
 
 val default_targets : dims:int -> target list
 (** The standard matrix: [compiled] (default config), [openmp] at 1 and 4
     workers, with explicit dims-matched tiles, with multicolor
     reordering, [opencl] with default and tall-skinny work groups, plus
-    the fused openmp/opencl plans and a 3-application time-tiled openmp
-    target. *)
+    the fused openmp/opencl plans, a 3-application time-tiled openmp
+    target, and the native tier forced on ([native] on [compiled], and
+    [native/w4] on [openmp] at 4 workers). *)
 
 val targets_for : only:string list option -> dims:int -> target list
 (** {!default_targets} filtered to the given backend names
-    (["compiled"], ["openmp"], ["opencl"]); [None] keeps all. *)
+    (["compiled"], ["openmp"], ["opencl"], or ["native"] for the native
+    targets); [None] keeps all. *)
 
 type divergence = {
   target : string;
   grid : string;
   point : int list;
-  expected : float;  (** interp's value *)
+  expected : float;  (** the oracle's value *)
   got : float;
+  oracle : string;
+      (** ["interp"], or the closure tier for a native target's bitwise
+          check *)
   crashed : string option;
       (** set when the target raised instead of diverging numerically; the
           other fields are placeholders then ([grid] empty, NaN values) *)

@@ -613,6 +613,7 @@ let stats_json t =
                ("misses", num misses);
                ("hit_rate", Json.Num hit_rate);
              ] );
+         ("native", Json.Obj (Trace.native_json (Trace.counters ())));
          ( "queue",
            Json.Obj
              [

@@ -109,6 +109,20 @@ let counters_line () =
         c.Trace.channel_sends c.Trace.channel_stalls
   else base
 
+let counters_line () =
+  let c = Trace.counters () in
+  let base = counters_line () in
+  (* only sessions that met a polynomial stencil grow the native segment *)
+  if c.Trace.native_structures + c.Trace.native_failures > 0 then
+    base
+    ^ Printf.sprintf
+        "; native %d structure(s), %d promotion(s), %d compile(s) (%d ms), \
+         %d disk hit(s), %d failure(s)"
+        c.Trace.native_structures c.Trace.native_promotions
+        c.Trace.native_compiles c.Trace.native_compile_ms
+        c.Trace.native_disk_hits c.Trace.native_failures
+  else base
+
 let print_summary ?machine () =
   print_string (summary_table ?machine ());
   print_newline ();

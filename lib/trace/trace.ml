@@ -64,6 +64,12 @@ type counter =
   | Tune_db_misses
   | Channel_sends
   | Channel_stalls
+  | Native_promotions
+  | Native_compiles
+  | Native_compile_ms
+  | Native_disk_hits
+  | Native_failures
+  | Native_structures
 
 let cells_c = Atomic.make 0
 let chunks_c = Atomic.make 0
@@ -82,6 +88,12 @@ let tune_hits_c = Atomic.make 0
 let tune_misses_c = Atomic.make 0
 let chan_sends_c = Atomic.make 0
 let chan_stalls_c = Atomic.make 0
+let native_promotions_c = Atomic.make 0
+let native_compiles_c = Atomic.make 0
+let native_compile_ms_c = Atomic.make 0
+let native_disk_hits_c = Atomic.make 0
+let native_failures_c = Atomic.make 0
+let native_structures_c = Atomic.make 0
 
 let cell_of = function
   | Cells_updated -> cells_c
@@ -101,8 +113,15 @@ let cell_of = function
   | Tune_db_misses -> tune_misses_c
   | Channel_sends -> chan_sends_c
   | Channel_stalls -> chan_stalls_c
+  | Native_promotions -> native_promotions_c
+  | Native_compiles -> native_compiles_c
+  | Native_compile_ms -> native_compile_ms_c
+  | Native_disk_hits -> native_disk_hits_c
+  | Native_failures -> native_failures_c
+  | Native_structures -> native_structures_c
 
 let add c n = if on () then ignore (Atomic.fetch_and_add (cell_of c) n)
+let note c n = ignore (Atomic.fetch_and_add (cell_of c) n)
 
 type counters = {
   cells_updated : int;
@@ -122,6 +141,12 @@ type counters = {
   tune_db_misses : int;
   channel_sends : int;
   channel_stalls : int;
+  native_promotions : int;
+  native_compiles : int;
+  native_compile_ms : int;
+  native_disk_hits : int;
+  native_failures : int;
+  native_structures : int;
 }
 
 let counters () =
@@ -143,6 +168,12 @@ let counters () =
     tune_db_misses = Atomic.get tune_misses_c;
     channel_sends = Atomic.get chan_sends_c;
     channel_stalls = Atomic.get chan_stalls_c;
+    native_promotions = Atomic.get native_promotions_c;
+    native_compiles = Atomic.get native_compiles_c;
+    native_compile_ms = Atomic.get native_compile_ms_c;
+    native_disk_hits = Atomic.get native_disk_hits_c;
+    native_failures = Atomic.get native_failures_c;
+    native_structures = Atomic.get native_structures_c;
   }
 
 (* -------------------------------------------------------- roofline join *)
@@ -230,6 +261,8 @@ let clear () =
       cells_c; chunks_c; stolen_c; inline_c; hits_c; misses_c; faults_c;
       retries_c; failovers_c; rollbacks_c; guard_trips_c; skipped_c;
       recoveries_c; tune_hits_c; tune_misses_c; chan_sends_c; chan_stalls_c;
+      native_promotions_c; native_compiles_c; native_compile_ms_c;
+      native_disk_hits_c; native_failures_c; native_structures_c;
     ]
 
 (* ---------------------------------------------------------- aggregation *)
@@ -304,6 +337,20 @@ let json_of_event ev =
       ("args", Json.Obj (List.map (fun (k, v) -> (k, json_of_arg v)) ev.args));
     ]
 
+(* The native-tier counters under their metric names, as the Chrome
+   counter event and sfserved STATS show them. *)
+let native_json c =
+  List.map
+    (fun (k, v) -> (k, Json.Num (float_of_int v)))
+    [
+      ("native.promotions", c.native_promotions);
+      ("native.compiles", c.native_compiles);
+      ("native.compile_ms", c.native_compile_ms);
+      ("native.disk_hits", c.native_disk_hits);
+      ("native.failures", c.native_failures);
+      ("native.structures", c.native_structures);
+    ]
+
 (* stamped at the end of the last recorded span, not at export time, so
    exporting the same trace twice yields byte-identical documents *)
 let counter_event ~ts =
@@ -318,7 +365,7 @@ let counter_event ~ts =
       ("tid", Json.Num 0.);
       ( "args",
         Json.Obj
-          [
+          ([
             ("cells_updated", Json.Num (float_of_int c.cells_updated));
             ("chunks_dispatched", Json.Num (float_of_int c.chunks_dispatched));
             ("chunks_stolen", Json.Num (float_of_int c.chunks_stolen));
@@ -336,7 +383,8 @@ let counter_event ~ts =
             ("tune_db_misses", Json.Num (float_of_int c.tune_db_misses));
             ("channel_sends", Json.Num (float_of_int c.channel_sends));
             ("channel_stalls", Json.Num (float_of_int c.channel_stalls));
-          ] );
+          ]
+          @ native_json c) );
     ]
 
 let to_chrome_json () =

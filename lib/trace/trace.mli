@@ -106,10 +106,23 @@ type counter =
   | Channel_stalls
       (** scheduler passes in which a runnable pipeline node waited on
           ring space or data (back-pressure visibility) *)
+  | Native_promotions  (** stencil structures switched to native code *)
+  | Native_compiles  (** native modules built with [ocamlopt -shared] *)
+  | Native_compile_ms  (** wall-clock ms spent in those builds *)
+  | Native_disk_hits  (** native modules loaded from the on-disk cache *)
+  | Native_failures
+      (** promotions that failed (no toolchain, build or load error); each
+          is recorded once and the structure stays on the closure tier *)
+  | Native_structures  (** distinct polynomial structures seen *)
 
 val add : counter -> int -> unit
 (** Atomic increment; no-op when tracing is disabled (callers in hot paths
     guard with {!on} first so not even the argument is evaluated). *)
+
+val note : counter -> int -> unit
+(** Atomic increment whether or not tracing is enabled: for rare events a
+    long-lived process must account for without tracing on (the native
+    tier's [Native_*] counters, which sfserved STATS reports). *)
 
 type counters = {
   cells_updated : int;
@@ -129,6 +142,12 @@ type counters = {
   tune_db_misses : int;
   channel_sends : int;
   channel_stalls : int;
+  native_promotions : int;
+  native_compiles : int;
+  native_compile_ms : int;
+  native_disk_hits : int;
+  native_failures : int;
+  native_structures : int;
 }
 
 val counters : unit -> counters
@@ -167,6 +186,11 @@ type agg = {
 
 val summary : unit -> agg list
 (** Events aggregated by (kind, name), sorted by total time descending. *)
+
+val native_json : counters -> (string * Json.t) list
+(** The [Native_*] counters as [("native.promotions", n); ...] fields —
+    one naming shared by the Chrome counter event, [--profile] and
+    sfserved STATS. *)
 
 val to_chrome_json : unit -> Json.t
 (** The Chrome [trace_event] document: an object with a [traceEvents]

@@ -235,6 +235,9 @@ let () =
   (match Json.member "tenants" doc with
   | Some (Json.Arr (_ :: _)) -> ()
   | _ -> die "STATS has no tenants array");
+  (match Option.bind (Json.member "native" doc) (Json.member "native.structures") with
+  | Some (Json.Num n) when n > 0. -> ()
+  | _ -> die "STATS has no native.structures count");
   Printf.printf "serve_check: STATS ok (jit hits = %d)\n%!" jit_hits;
 
   (* --- 4. SHUTDOWN: BYE, daemon exit 0, stats dump parses --- *)
