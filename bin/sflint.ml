@@ -72,7 +72,8 @@ let lint_file ~n ~params ~inputs ~backends ~config ~pipeline ~pipe_depth
       let certified =
         List.concat_map
           (fun backend ->
-            Sf_backends.Schedule_check.certify config ~shape ~backend group)
+            Sf_backends.Schedule_check.certify config
+              (Sf_backends.Jit.lower ~config backend ~shape group))
           backends
       in
       (* streaming-pipeline certification (SF030-SF034); a group without
@@ -121,9 +122,9 @@ let run files n json params inputs backend workers multicolor codes explain
   let inputs = Option.map comma_list inputs in
   let backends =
     match backend with
-    | "openmp" -> [ `Openmp ]
-    | "opencl" -> [ `Opencl ]
-    | "all" -> [ `Openmp; `Opencl ]
+    | "openmp" -> [ Sf_backends.Jit.Openmp ]
+    | "opencl" -> [ Sf_backends.Jit.Opencl ]
+    | "all" -> [ Sf_backends.Jit.Openmp; Sf_backends.Jit.Opencl ]
     | "none" -> []
     | other ->
         Printf.eprintf "sflint: unknown backend %S (openmp|opencl|all|none)\n"

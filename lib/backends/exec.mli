@@ -49,5 +49,7 @@ val run_rect_compiled :
 val validate_stencil : Grids.t -> shape:Sf_util.Ivec.t -> Stencil.t -> unit
 (** Checks that every touched grid exists, ranks agree with the iteration
     shape, and all accesses stay in bounds; raises [Invalid_argument] with a
-    descriptive message otherwise.  Backends call this once per kernel
-    invocation before entering unchecked loops. *)
+    descriptive message otherwise.  [Plan.execute] calls this (under
+    [Config.validate]) once per new (grids, params) binding in its
+    [Run_cache], before instantiating any unchecked loop; invocations
+    that reuse a binding skip it. *)

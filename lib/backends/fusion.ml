@@ -99,38 +99,6 @@ let waves ~shape clusters =
   if !current <> [] then waves := List.rev !current :: !waves;
   List.rev !waves
 
-(* Tile decomposition of a multi-member cluster: the shared domain is
-   tiled exactly like a point-parallel stencil's (explicit tile sizes or
-   outer-axis chunking); every tile becomes one multi-stencil task.
-   Callers use [Openmp_backend.plan_stencil] (or the OpenCL equivalent)
-   for singleton clusters, so unfused plans are byte-identical to the
-   pre-fusion ones. *)
-let cluster_tiles cfg ~shape (c : cluster) =
-  match c.members with
-  | [] -> []
-  | first :: _ ->
-      let rects = Domain.resolve ~shape first.Stencil.domain in
-      let tile_rect r =
-        match cfg.Config.tile with
-        | Some t -> Tiling.split ~tile:t r
-        | None -> Tiling.split_outer ~chunks:cfg.Config.chunks r
-      in
-      let per_rect = List.map tile_rect rects in
-      if cfg.Config.multicolor then Multicolor.interleave per_rect
-      else List.concat per_rect
-
-(* the OpenCL analogue: tall-skinny work-group decomposition *)
-let cluster_work_groups cfg ~shape (c : cluster) =
-  match c.members with
-  | [] -> []
-  | first :: _ ->
-      let rects = Domain.resolve ~shape first.Stencil.domain in
-      let per_rect =
-        List.map (Tiling.tall_skinny ~tile:cfg.Config.tall_skinny) rects
-      in
-      if cfg.Config.multicolor then Multicolor.interleave per_rect
-      else List.concat per_rect
-
 let fused_count clusters =
   List.fold_left
     (fun acc c -> if List.length c.members > 1 then acc + 1 else acc)

@@ -35,18 +35,6 @@ val waves : shape:Ivec.t -> cluster list -> int list list
 (** Greedy barrier placement over clusters (cluster indices), mirroring
     [Schedule.greedy_waves] at cluster granularity. *)
 
-val cluster_tiles :
-  Config.t -> shape:Ivec.t -> cluster -> Domain.resolved list
-(** Tile decomposition of a (multi-member) cluster's shared domain —
-    explicit [Config.tile] sizes or outer-axis chunking, with multicolor
-    interleaving when configured; each tile becomes one multi-stencil
-    task. *)
-
-val cluster_work_groups :
-  Config.t -> shape:Ivec.t -> cluster -> Domain.resolved list
-(** The OpenCL analogue of {!cluster_tiles}: tall-skinny work-group
-    decomposition of the shared domain. *)
-
 val fused_count : cluster list -> int
 (** Number of clusters with more than one member. *)
 

@@ -91,34 +91,20 @@ let apply_poison outputs grids v =
 (* Every compiled kernel is wrapped in a trace guard at compile time, so
    each invocation — from user code, [Mg], [Spmd] or the bench harness —
    becomes a [kernel] span attributed to its group and backend and
-   annotated with the analytic cells/flops/bytes of one run.  The span
-   arguments are computed once per cache entry; when tracing is off the
-   wrapper costs one atomic load and a branch. *)
-let instrument ?cost ~config ~backend ~shape group (kernel : Kernel.t) =
-  let cost =
-    match cost with
-    | Some c -> c
-    | None -> (
-        (* with fusion on, the parallel backends execute the fused plan, so
-           the span is annotated with the single-pass bytes model — shared
-           reads inside a cluster are no longer double-counted *)
-        match backend with
-        | (Openmp | Opencl) when config.Config.fusion ->
-            Costing.of_clusters ~shape
-              (List.map
-                 (fun (c : Fusion.cluster) -> c.Fusion.members)
-                 (Fusion.partition config ~shape group))
-        | _ -> Costing.of_group ~shape group)
-  in
+   annotated with the analytic cells/flops/bytes of one run (the executed
+   plan's own cost).  The span arguments are computed once per cache
+   entry; when tracing is off the wrapper costs one atomic load and a
+   branch. *)
+let instrument ~cost ~backend group (kernel : Kernel.t) =
   let span_args =
     [
-      ("backend", Trace.Str (backend_name backend));
+      ("backend", Trace.Str backend);
       ("group", Trace.Str group.Group.label);
       ("stencils", Trace.Int (Group.length group));
     ]
     @ Costing.args cost
   in
-  let fault_detail = backend_name backend ^ ":" ^ group.Group.label in
+  let fault_detail = backend ^ ":" ^ group.Group.label in
   let outputs =
     List.map (fun s -> s.Stencil.output) (Group.stencils group)
     |> List.sort_uniq String.compare
@@ -141,6 +127,69 @@ let instrument ?cost ~config ~backend ~shape group (kernel : Kernel.t) =
   in
   { kernel with Kernel.run }
 
+let lower ?(config = Config.default) backend ~shape group =
+  match backend with
+  | Interp -> Serial_backend.lower ~backend:"interp" ~shape group
+  | Compiled -> Serial_backend.lower ~backend:"compiled" ~shape group
+  | Openmp -> Openmp_backend.lower config ~shape group
+  | Opencl -> Opencl_backend.lower config ~shape group
+  | Custom name ->
+      invalid_arg
+        (Printf.sprintf "Jit.lower: custom backend %S has no plan" name)
+
+(* The structural cache identity.  Time-tiled entries ([reps > 1]) live
+   in the same cache under a distinct pseudo-backend name, with
+   [Config.time_tile] carrying [reps] into the key. *)
+let key_of ~config ~reps backend ~shape group =
+  let backend, config =
+    if reps > 1 then
+      ( Custom ("timetile:" ^ backend_name backend),
+        { config with Config.time_tile = reps } )
+    else (backend, config)
+  in
+  { backend; shape = Ivec.to_list shape; group_hash = Group.hash group; config }
+
+(* The one cache probe: a hit returns the cached kernel; a miss builds
+   outside the lock (lowering can be slow and must not stall concurrent
+   lookups of unrelated kernels) and keeps whichever kernel a racing
+   compile stored first. *)
+let cached key build =
+  match locked (fun () -> Hashtbl.find_opt cache key) with
+  | Some kernel ->
+      Atomic.incr hits;
+      if Trace.on () then Trace.add Trace.Cache_hits 1;
+      kernel
+  | None ->
+      Atomic.incr misses;
+      if Trace.on () then Trace.add Trace.Cache_misses 1;
+      let kernel = build () in
+      locked (fun () ->
+          match Hashtbl.find_opt cache key with
+          | Some existing -> existing
+          | None ->
+              Hashtbl.replace cache key kernel;
+              kernel)
+
+(* Lower once; certify, cost and execute that same plan.  Certification
+   (SF_VALIDATE=1 / Config.certify) runs once per cache entry — cache
+   hits pay nothing.  A failed compile caches nothing, so a racy plan
+   raises on every attempt. *)
+let run_plan (config : Config.t) ~tier ~backend ?(extra = fun () -> [])
+    (plan : Plan.t) =
+  let group = plan.Plan.group in
+  if config.Config.certify then begin
+    let diagnostics =
+      Trace.span Trace.Certify ("certify:" ^ group.Group.label) (fun () ->
+          extra () @ Schedule_check.certify config plan)
+    in
+    if Sf_analysis.Diagnostics.has_errors diagnostics then
+      raise
+        (Certification_failed
+           { backend; group = group.Group.label; diagnostics })
+  end;
+  instrument ~cost:plan.Plan.cost ~backend group
+    (Plan.execute ~tier config plan)
+
 let armed_spec = Atomic.make ""
 
 let compile ?(config = Config.default) backend ~shape group =
@@ -155,84 +204,37 @@ let compile ?(config = Config.default) backend ~shape group =
       Atomic.set armed_spec spec;
       Fault.arm_exn spec
   | _ -> ());
-  let key =
-    {
-      backend;
-      shape = Ivec.to_list shape;
-      group_hash = Group.hash group;
-      config;
-    }
-  in
-  match locked (fun () -> Hashtbl.find_opt cache key) with
-  | Some kernel ->
-      Atomic.incr hits;
-      if Trace.on () then Trace.add Trace.Cache_hits 1;
-      kernel
-  | None ->
-      Atomic.incr misses;
-      if Trace.on () then Trace.add Trace.Cache_misses 1;
-      (* compile outside the lock: lowering can be slow and must not stall
-         concurrent lookups of unrelated kernels *)
-      let kernel =
-        Trace.span
-          ~args:
-            [
-              ("backend", Trace.Str (backend_name backend));
-              ("group", Trace.Str group.Group.label);
-            ]
-          Trace.Compile
-          ("compile:" ^ group.Group.label)
-          (fun () ->
-            let group = Passes.optimize config ~shape group in
-            (* schedule certification (SF_VALIDATE=1 / Config.certify):
-               prove the plan the backend is about to adopt race-free, once
-               per cache entry — cache hits pay nothing.  A failed compile
-               caches nothing, so a racy plan raises on every attempt. *)
-            if config.Config.certify then begin
-              let diagnostics =
-                Trace.span Trace.Certify
-                  ("certify:" ^ group.Group.label)
-                  (fun () ->
-                    match backend with
-                    | Openmp ->
-                        Schedule_check.certify config ~shape ~backend:`Openmp
-                          group
-                    | Opencl ->
-                        Schedule_check.certify config ~shape ~backend:`Opencl
-                          group
-                    | Interp | Compiled | Custom _ -> [])
+  cached (key_of ~config ~reps:1 backend ~shape group) (fun () ->
+      Trace.span
+        ~args:
+          [
+            ("backend", Trace.Str (backend_name backend));
+            ("group", Trace.Str group.Group.label);
+          ]
+        Trace.Compile
+        ("compile:" ^ group.Group.label)
+        (fun () ->
+          let group = Passes.optimize config ~shape group in
+          match backend with
+          | Custom name -> (
+              match locked (fun () -> Hashtbl.find_opt registry name) with
+              | Some compiler ->
+                  (* a custom plan is opaque to the certifier *)
+                  instrument
+                    ~cost:(Costing.of_group ~shape group)
+                    ~backend:name group
+                    (compiler config ~shape group)
+              | None ->
+                  invalid_arg
+                    (Printf.sprintf "Jit.compile: unknown custom backend %S"
+                       name))
+          | _ ->
+              let tier =
+                if backend = Interp then Plan.Interp else Plan.Compiled
               in
-              if Sf_analysis.Diagnostics.has_errors diagnostics then
-                raise
-                  (Certification_failed
-                     {
-                       backend = backend_name backend;
-                       group = group.Group.label;
-                       diagnostics;
-                     })
-            end;
-            let kernel =
-              match backend with
-              | Interp -> Serial_backend.compile_interp config ~shape group
-              | Compiled -> Serial_backend.compile_compiled config ~shape group
-              | Openmp -> Openmp_backend.compile config ~shape group
-              | Opencl -> Opencl_backend.compile config ~shape group
-              | Custom name -> (
-                  match locked (fun () -> Hashtbl.find_opt registry name) with
-                  | Some compiler -> compiler config ~shape group
-                  | None ->
-                      invalid_arg
-                        (Printf.sprintf
-                           "Jit.compile: unknown custom backend %S" name))
-            in
-            instrument ~config ~backend ~shape group kernel)
-      in
-      locked (fun () ->
-          match Hashtbl.find_opt cache key with
-          | Some existing -> existing (* a racing compile won: keep one *)
-          | None ->
-              Hashtbl.replace cache key kernel;
-              kernel)
+              run_plan config ~tier
+                ~backend:(backend_name backend)
+                (lower ~config backend ~shape group)))
 
 (* --------------------------------------------------- temporal blocking
 
@@ -241,92 +243,49 @@ let compile ?(config = Config.default) backend ~shape group =
    skew-blocked into ~one pass of memory traffic when [Timetile.plan]
    accepts the group, or a plain kernel wrapped in a reps-loop otherwise,
    so the semantics are uniform either way (the differential fuzzer
-   depends on that).  Time-tiled entries live in the same cache under a
-   distinct pseudo-backend name, with [Config.time_tile] carrying [reps]
-   into the key. *)
+   depends on that). *)
 
 let compile_time_tiled ?(config = Config.default) ~reps backend ~shape group =
   if reps < 1 then
     invalid_arg "Jit.compile_time_tiled: reps must be at least 1";
   if reps = 1 then compile ~config backend ~shape group
   else begin
-    let config = { config with Config.time_tile = reps } in
-    let plain_loop () =
-      let inner = compile ~config backend ~shape group in
-      let run ?params grids =
-        for _ = 1 to reps do
-          inner.Kernel.run ?params grids
-        done
-      in
-      {
-        inner with
-        Kernel.run;
-        Kernel.description =
-          Printf.sprintf "%d rep(s) of [%s]" reps inner.Kernel.description;
-      }
-    in
-    let key =
-      {
-        backend = Custom ("timetile:" ^ backend_name backend);
-        shape = Ivec.to_list shape;
-        group_hash = Group.hash group;
-        config;
-      }
-    in
-    match locked (fun () -> Hashtbl.find_opt cache key) with
-    | Some kernel ->
-        Atomic.incr hits;
-        if Trace.on () then Trace.add Trace.Cache_hits 1;
-        kernel
-    | None ->
-        Atomic.incr misses;
-        if Trace.on () then Trace.add Trace.Cache_misses 1;
-        let kernel =
-          Trace.span
-            ~args:
-              [
-                ("backend", Trace.Str "timetile");
-                ("group", Trace.Str group.Group.label);
-                ("reps", Trace.Int reps);
-              ]
-            Trace.Compile
-            ("compile:" ^ group.Group.label)
-            (fun () ->
-              let group = Passes.optimize config ~shape group in
-              match Timetile.plan config ~shape ~reps group with
-              | Some plan ->
-                  if config.Config.certify then begin
-                    let diagnostics =
-                      Trace.span Trace.Certify
-                        ("certify:" ^ group.Group.label)
-                        (fun () ->
-                          Schedule_check.certify_timetile_plan config ~shape
-                            plan)
-                    in
-                    if Sf_analysis.Diagnostics.has_errors diagnostics then
-                      raise
-                        (Certification_failed
-                           {
-                             backend = "timetile";
-                             group = group.Group.label;
-                             diagnostics;
-                           })
-                  end;
-                  instrument
-                    ~cost:(Costing.of_timetile ~shape ~reps group)
-                    ~config ~backend:(Custom "timetile") ~shape group
-                    (Timetile.compile config ~shape plan)
-              | None ->
-                  (* the plain fallback's inner kernel is instrumented by
-                     [compile] itself: one span per application *)
-                  plain_loop ())
-        in
-        locked (fun () ->
-            match Hashtbl.find_opt cache key with
-            | Some existing -> existing
+    let key = key_of ~config ~reps backend ~shape group in
+    let config = key.config in
+    cached key (fun () ->
+        Trace.span
+          ~args:
+            [
+              ("backend", Trace.Str "timetile");
+              ("group", Trace.Str group.Group.label);
+              ("reps", Trace.Int reps);
+            ]
+          Trace.Compile
+          ("compile:" ^ group.Group.label)
+          (fun () ->
+            let group = Passes.optimize config ~shape group in
+            match Timetile.plan config ~shape ~reps group with
+            | Some tp ->
+                run_plan config ~tier:Plan.Compiled ~backend:"timetile"
+                  ~extra:(fun () ->
+                    Schedule_check.certify_timetile_plan config ~shape tp)
+                  (Timetile.lower ~shape tp)
             | None ->
-                Hashtbl.replace cache key kernel;
-                kernel)
+                (* the plain fallback's inner kernel is instrumented by
+                   [compile] itself: one span per application *)
+                let inner = compile ~config backend ~shape group in
+                let run ?params grids =
+                  for _ = 1 to reps do
+                    inner.Kernel.run ?params grids
+                  done
+                in
+                {
+                  inner with
+                  Kernel.run;
+                  Kernel.description =
+                    Printf.sprintf "%d rep(s) of [%s]" reps
+                      inner.Kernel.description;
+                }))
   end
 
 let compile_stencil ?config backend ~shape stencil =
@@ -341,23 +300,16 @@ let register_backend ~name compiler =
       if Hashtbl.mem registry name then Hashtbl.reset cache;
       Hashtbl.replace registry name compiler)
 
-(* The structural cache identity, exported so a serving layer can coalesce
-   concurrent compiles of the same kernel *before* they race in [compile]
-   (two domains racing on one key both pay the lowering; a server funnels
-   same-key requests through one compile instead).  Mirrors the key
-   construction of [compile] / [compile_time_tiled] exactly: same group
-   hash, shape, backend (the time-tiled pseudo-backend when [reps > 1])
-   and full config. *)
+(* Exported so a serving layer can coalesce concurrent compiles of the
+   same kernel *before* they race in [compile] (two domains racing on one
+   key both pay the lowering; a server funnels same-key requests through
+   one compile instead).  Built from the very key [compile] /
+   [compile_time_tiled] probe. *)
 let cache_key_hex ?(config = Config.default) ?(reps = 1) backend ~shape group
     =
-  let backend, config =
-    if reps > 1 then
-      ( Custom ("timetile:" ^ backend_name backend),
-        { config with Config.time_tile = reps } )
-    else (backend, config)
-  in
-  Printf.sprintf "%x-%x" (Group.hash group)
-    (Hashtbl.hash (backend_name backend, Ivec.to_list shape, config))
+  let key = key_of ~config ~reps backend ~shape group in
+  Printf.sprintf "%x-%x" key.group_hash
+    (Hashtbl.hash (backend_name key.backend, key.shape, key.config))
 
 let cache_stats () = (Atomic.get hits, Atomic.get misses)
 

@@ -28,11 +28,11 @@ exception
   }
 (** Raised by {!compile} instead of returning a kernel when
     [Config.certify] is set (e.g. via [SF_VALIDATE=1]) and
-    [Schedule_check.certify] finds an intra-wave race ([SF021]) in the
-    plan the chosen backend would execute.  Certification runs once per
-    cache entry — hot loops replaying a cached kernel pay nothing.  The
-    serial backends and custom backends (whose plans the checker cannot
-    see) are never certified. *)
+    [Schedule_check.certify] finds a race ([SF021]/[SF023]) in the plan
+    the chosen backend is about to execute.  Certification runs once per
+    cache entry — hot loops replaying a cached kernel pay nothing.
+    Custom backends (whose plans the checker cannot see) are never
+    certified. *)
 
 val backend_name : backend -> string
 
@@ -56,15 +56,22 @@ val register_backend :
 
 val registered_backends : unit -> string list
 
+val lower :
+  ?config:Config.t -> backend -> shape:Ivec.t -> Group.t -> Plan.t
+(** The plan a built-in backend executes for the group as given
+    ({!compile} first runs [Passes.optimize]).  With [Config.fusion] on,
+    the OpenMP/OpenCL plans are the fused ones and cost the single-pass
+    [Costing.of_clusters] bytes.  Raises [Invalid_argument] for a
+    [Custom] backend. *)
+
 val compile :
   ?config:Config.t -> backend -> shape:Ivec.t -> Group.t -> Kernel.t
 (** Always ONE application of the group per kernel invocation
     ([Config.time_tile] only distinguishes cache entries here; the
-    temporal depth is consumed by {!compile_time_tiled}).  With
-    [Config.fusion] on, the OpenMP/OpenCL kernels execute the fused plan
-    and their trace spans carry the single-pass [Costing.of_clusters]
-    bytes; certification additionally re-proves the fused plan race-free
-    ([SF023]). *)
+    temporal depth is consumed by {!compile_time_tiled}).  A built-in
+    backend's group is lowered once to a {!Plan.t}; that same value is
+    certified (under [Config.certify]), annotates the kernel span with
+    its cost, and is run by [Plan.execute]. *)
 
 val compile_time_tiled :
   ?config:Config.t -> reps:int -> backend -> shape:Ivec.t -> Group.t ->
@@ -76,7 +83,8 @@ val compile_time_tiled :
     count); otherwise the plain kernel is wrapped in a reps-loop, so the
     observable semantics are uniform either way.  Under [Config.certify] a
     time-tile plan is first vetted by
-    [Schedule_check.certify_timetile_plan] and an under-skewed or illegal
+    [Schedule_check.certify_timetile_plan] (and its {!Plan.t} by
+    [Schedule_check.certify]) and an under-skewed or illegal
     plan raises {!Certification_failed} with [SF024]/[SF025] diagnostics.
     Cached under a distinct pseudo-backend, keyed by [reps] via
     [Config.time_tile].  [reps = 1] is exactly {!compile}. *)

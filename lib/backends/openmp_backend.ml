@@ -8,242 +8,58 @@
    single sequential task, preserving the in-place sequential semantics
    while still overlapping with independent stencils of the same wave.
    Waves below the configured point-count cutoff run inline on the calling
-   domain (coarse multigrid levels are cheaper serial than dispatched). *)
+   domain (coarse multigrid levels are cheaper serial than dispatched).
+
+   Under Config.fusion, waves are placed at cluster granularity and a
+   multi-member cluster becomes one task per shared tile, running its
+   members in program order over that tile — a single pass over the
+   cluster's grids.  A singleton cluster is the unfused stencil plan.
+   Legality is Fusion.cofusible, and Jit re-proves the executed plan
+   race-free under Config.certify. *)
 
 open Snowflake
 open Sf_analysis
-
-type stencil_plan = {
-  stencil : Stencil.t;
-  tiles : Domain.resolved list;  (** independent iff [parallel_ok] *)
-  parallel_ok : bool;
-}
-
-let plan_stencil (cfg : Config.t) ~shape s =
-  let rects = Domain.resolve ~shape s.Stencil.domain in
-  let parallel_ok =
-    Dependence.point_parallel ~shape s
-    || List.mem s.Stencil.label cfg.Config.force_parallel
-  in
-  let tiles =
-    if not parallel_ok then rects
-    else
-      let tile_rect r =
-        match cfg.Config.tile with
-        | Some t -> Tiling.split ~tile:t r
-        | None -> Tiling.split_outer ~chunks:cfg.Config.chunks r
-      in
-      let per_rect = List.map tile_rect rects in
-      if cfg.Config.multicolor then Multicolor.interleave per_rect
-      else List.concat per_rect
-  in
-  { stencil = s; tiles; parallel_ok }
 
 let waves_of cfg ~shape group =
   match cfg.Config.schedule with
   | Config.Greedy_waves -> Schedule.greedy_waves ~shape group
   | Config.Dag_levels -> Schedule.dag_waves (Schedule.build_dag ~shape group)
 
-(* Fused lowering: waves are placed at cluster granularity, a singleton
-   cluster keeps its per-stencil plan (byte-identical tasks to the
-   unfused path) and a multi-member cluster becomes one task per shared
-   tile, running its members in program order over that tile — a single
-   pass over the cluster's grids.  Legality is Fusion.cofusible, and
-   Jit re-proves the executed plan race-free (SF023) under
-   Config.certify. *)
-let compile_fused (cfg : Config.t) ~shape (group : Group.t)
-    (clusters : Fusion.cluster list) =
-  let shape = Array.copy shape in
-  let clusters = Array.of_list clusters in
-  let plans =
-    Array.map
-      (fun (c : Fusion.cluster) ->
-        match c.Fusion.members with
-        | [ s ] ->
-            let p = plan_stencil cfg ~shape s in
-            (c.Fusion.members, p.tiles, p.parallel_ok)
-        | members -> (members, Fusion.cluster_tiles cfg ~shape c, true))
-      clusters
-  in
-  let plan_points =
-    Array.map
-      (fun (members, tiles, _) ->
-        Domain.npoints_union tiles * List.length members)
-      plans
-  in
-  let waves = Fusion.waves ~shape (Array.to_list clusters) in
-  let pool =
-    Pool.create ~workers:cfg.Config.workers
-    |> Pool.with_serial_cutoff cfg.Config.serial_cutoff
-  in
-  let description =
-    Printf.sprintf
-      "openmp+fusion: %d stencil(s) as %d cluster(s) in %d wave(s); %d \
-       worker(s); partition %s"
-      (Group.length group) (Array.length clusters) (List.length waves)
-      (Pool.workers pool)
-      (Fusion.describe (Array.to_list clusters))
-  in
-  let cache = Run_cache.create () in
-  let names = Group.grids group in
-  let run ?(params = []) grids =
-    let task_waves =
-      Run_cache.get cache ~grids ~names ~params (fun () ->
-          if cfg.Config.validate then
-            Array.iter
-              (fun (members, _, _) ->
-                List.iter (Exec.validate_stencil grids ~shape) members)
-              plans;
-          List.map
-            (fun wave ->
-              let points =
-                List.fold_left (fun acc ci -> acc + plan_points.(ci)) 0 wave
-              in
-              let tasks =
-                List.concat_map
-                  (fun ci ->
-                    let members, tiles, parallel_ok = plans.(ci) in
-                    let instantiates =
-                      List.map
-                        (fun (s : Stencil.t) ->
-                          let lookup =
-                            Kernel.param_lookup
-                              ~loc:
-                                (Srcloc.stencil ~group:group.Group.label
-                                   s.Stencil.label)
-                              params
-                          in
-                          Exec.prepare_compiled grids ~params:lookup s)
-                        members
-                    in
-                    let thunks =
-                      List.map
-                        (fun tile ->
-                          match instantiates with
-                          | [ inst ] -> inst tile
-                          | insts ->
-                              let fs = List.map (fun inst -> inst tile) insts in
-                              fun () -> List.iter (fun f -> f ()) fs)
-                        tiles
-                    in
-                    if parallel_ok then thunks
-                    else [ (fun () -> List.iter (fun f -> f ()) thunks) ])
-                  wave
-                |> Array.of_list
-              in
-              (points, tasks))
-            waves)
-    in
-    if Sf_trace.Trace.on () then
-      List.iteri
-        (fun i (points, tasks) ->
-          let module Trace = Sf_trace.Trace in
-          Trace.span
-            ~args:
-              [
-                ("group", Trace.Str group.Group.label);
-                ("wave", Trace.Int i);
-                ("points", Trace.Int points);
-                ("tasks", Trace.Int (Array.length tasks));
-                ("fused", Trace.Int (Fusion.fused_count (Array.to_list clusters)));
-              ]
-            Trace.Wave
-            (Printf.sprintf "%s/wave%d" group.Group.label i)
-            (fun () ->
-              Serial_backend.wave_fault group i;
-              Pool.run_tasks ~points pool tasks))
-        task_waves
-    else
-      List.iteri
-        (fun i (points, tasks) ->
-          Serial_backend.wave_fault group i;
-          Pool.run_tasks ~points pool tasks)
-        task_waves
-  in
-  Kernel.make ~name:group.Group.label ~backend:"openmp" ~description run
+let split (cfg : Config.t) r =
+  match cfg.Config.tile with
+  | Some t -> Tiling.split ~tile:t r
+  | None -> Tiling.split_outer ~chunks:cfg.Config.chunks r
 
-let compile_unfused (cfg : Config.t) ~shape (group : Group.t) =
-  let shape = Array.copy shape in
-  let stencils = Array.of_list (Group.stencils group) in
-  let plans = Array.map (plan_stencil cfg ~shape) stencils in
-  let plan_points = Array.map (fun p -> Domain.npoints_union p.tiles) plans in
-  let waves = waves_of cfg ~shape group in
-  (* a view of the process-wide persistent domain pool: every kernel shares
-     the same hot workers, capped here at the configured degree *)
-  let pool =
-    Pool.create ~workers:cfg.Config.workers
-    |> Pool.with_serial_cutoff cfg.Config.serial_cutoff
-  in
-  let description =
-    Format.asprintf "openmp: %d stencil(s) in %d wave(s); %d worker(s)@ %a"
-      (Array.length stencils) (List.length waves) (Pool.workers pool)
-      Schedule.pp_waves waves
-  in
-  let cache = Run_cache.create () in
-  let names = Group.grids group in
-  let run ?(params = []) grids =
-    let task_waves =
-      Run_cache.get cache ~grids ~names ~params (fun () ->
-          if cfg.Config.validate then
-            Array.iter
-              (fun p -> Exec.validate_stencil grids ~shape p.stencil)
-              plans;
-          List.map
-            (fun wave ->
-              let points =
-                List.fold_left (fun acc idx -> acc + plan_points.(idx)) 0 wave
-              in
-              let tasks =
-                List.concat_map
-                  (fun idx ->
-                    let p = plans.(idx) in
-                    let lookup =
-                      Kernel.param_lookup
-                        ~loc:
-                          (Srcloc.stencil ~group:group.Group.label
-                             p.stencil.Stencil.label)
-                        params
-                    in
-                    let instantiate =
-                      Exec.prepare_compiled grids ~params:lookup p.stencil
-                    in
-                    let thunks = List.map instantiate p.tiles in
-                    if p.parallel_ok then thunks
-                    else [ (fun () -> List.iter (fun f -> f ()) thunks) ])
-                  wave
-                |> Array.of_list
-              in
-              (points, tasks))
-            waves)
-    in
-    if Sf_trace.Trace.on () then
-      List.iteri
-        (fun i (points, tasks) ->
-          let module Trace = Sf_trace.Trace in
-          Trace.span
-            ~args:
-              [
-                ("group", Trace.Str group.Group.label);
-                ("wave", Trace.Int i);
-                ("points", Trace.Int points);
-                ("tasks", Trace.Int (Array.length tasks));
-              ]
-            Trace.Wave
-            (Printf.sprintf "%s/wave%d" group.Group.label i)
-            (fun () ->
-              Serial_backend.wave_fault group i;
-              Pool.run_tasks ~points pool tasks))
-        task_waves
-    else
-      List.iteri
-        (fun i (points, tasks) ->
-          Serial_backend.wave_fault group i;
-          Pool.run_tasks ~points pool tasks)
-        task_waves
-  in
-  Kernel.make ~name:group.Group.label ~backend:"openmp" ~description run
-
-let compile (cfg : Config.t) ~shape (group : Group.t) =
+let lower (cfg : Config.t) ~shape (group : Group.t) =
   let clusters = Fusion.partition cfg ~shape group in
-  if Fusion.fused_count clusters > 0 then compile_fused cfg ~shape group clusters
-  else compile_unfused cfg ~shape group
+  let fused = Fusion.fused_count clusters in
+  let waves =
+    if fused = 0 then waves_of cfg ~shape group
+    else Fusion.waves ~shape clusters
+  in
+  let tasks =
+    Array.of_list
+      (List.map
+         (fun (c : Fusion.cluster) ->
+           Plan.cluster_tasks cfg ~shape ~split:(split cfg) c.Fusion.members)
+         clusters)
+  in
+  let workers = Pool.workers (Pool.create ~workers:cfg.Config.workers) in
+  let description =
+    if fused = 0 then
+      Format.asprintf "openmp: %d stencil(s) in %d wave(s); %d worker(s)@ %a"
+        (Group.length group) (List.length waves) workers Schedule.pp_waves
+        waves
+    else
+      Printf.sprintf
+        "openmp+fusion: %d stencil(s) as %d cluster(s) in %d wave(s); %d \
+         worker(s); partition %s"
+        (Group.length group) (List.length clusters) (List.length waves)
+        workers (Fusion.describe clusters)
+  in
+  Plan.make ~backend:"openmp" ~shape ~description
+    ~cost:
+      (Costing.of_clusters ~shape
+         (List.map (fun (c : Fusion.cluster) -> c.Fusion.members) clusters))
+    group
+    (List.map (List.concat_map (fun ci -> tasks.(ci))) waves)

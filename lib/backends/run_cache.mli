@@ -4,8 +4,8 @@
     normalisation, read grouping) depends only on which mesh objects are
     bound to the group's grid names and on the scalar parameter values.
     Solvers call the same kernel on the same meshes thousands of times —
-    a V-cycle visits a 4³ level as often as the 128³ one — so backends
-    memoise the prepared state under a cheap identity key: the physical
+    a V-cycle visits a 4³ level as often as the 128³ one — so
+    [Plan.execute] memoises the prepared state under a cheap identity key: the physical
     identities of the bound meshes plus the structural parameter list.
     Rebinding a grid or changing a parameter invalidates the entry
     (single-entry cache: the common pattern is steady bindings). *)

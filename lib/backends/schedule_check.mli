@@ -1,101 +1,44 @@
-(** Dynamic-plan conflict checking and schedule certification.
+(** Plan conflict checking and schedule certification.
 
-    A backend's parallel plan is a list of waves, each wave a set of tasks
-    executed concurrently; a task covers one tile (or, for a stencil the
-    analysis could not prove point-parallel, its whole domain run
-    sequentially).  {!wave_conflicts} verifies the fundamental safety
-    property the Diophantine analysis is supposed to guarantee — no two
-    concurrent tasks touch the same cell with at least one write — by exact
-    lattice intersection over the *actual tiles* of the plan, and reports
+    A {!Plan.t} is a list of waves, each wave a set of tasks executed
+    concurrently; a task runs its [(stencil, tile)] steps in order.
+    {!wave_conflicts} verifies the fundamental safety property the
+    Diophantine analysis is supposed to guarantee — no two concurrent
+    tasks touch the same cell with at least one write — by exact lattice
+    intersection over the {e actual tiles} of the plan, and reports
     {e every} conflicting pair, not just the first.  Pairs are pruned by
     bucketing tasks on grid name: a conflict always involves somebody's
-    output grid, so only writer×writer and writer×reader pairs of the same
-    grid are intersected.
+    written grid, so only writer x writer and writer x reader pairs of
+    the same grid are intersected.
 
-    {!certify} wraps the checker as an [sflint] pass ([SF021]/[SF022]) and
-    is what [Jit.compile] runs under [SF_VALIDATE=1] /
-    [Config.certify]. *)
+    {!certify} wraps the checker as an [sflint] pass ([SF021]-[SF023])
+    over the very plan a backend executes, and is what [Jit.compile]
+    runs under [SF_VALIDATE=1] / [Config.certify]. *)
 
 open Snowflake
-
-type task = { stencil : Stencil.t; tiles : Domain.resolved list }
-(** Lattice points this task iterates; intra-task ordering is sequential,
-    so only inter-task overlap is a conflict. *)
 
 type conflict = {
   first : int;  (** task index within the wave, [first < second] *)
   second : int;
-  first_label : string;
+  first_label : string;  (** {!Plan.task_label} of the task *)
   second_label : string;
   grid : string;  (** the grid on which the tasks collide *)
   kind : string;  (** ["write/write"], ["write/read"] or ["read/write"] *)
 }
 
-val wave_conflicts : task list -> conflict list
+val wave_conflicts : Plan.task array -> conflict list
 (** All conflicting pairs of the wave, deduplicated and sorted by task
     indices; empty iff the wave is race-free. *)
 
-val waves_conflicts : task list list -> (int * conflict list) list
-(** Per-wave conflicts over a whole plan; only non-clean waves appear. *)
-
 val conflict_to_string : conflict -> string
 
-val check_wave : task list -> (unit, string) result
-(** [Error msg] names the first conflicting pair (and how many more there
-    are) — the historical interface, kept for the property tests. *)
-
-val check_waves : task list list -> (unit, string) result
-
-val openmp_plan :
-  Config.t -> shape:Sf_util.Ivec.t -> Group.t -> task list list
-(** The exact wave/task decomposition the OpenMP backend executes,
-    including [Config.multicolor] tile reordering and
-    [Config.force_parallel] overrides. *)
-
-val opencl_plan :
-  Config.t -> shape:Sf_util.Ivec.t -> Group.t -> task list list
-(** Work-group decomposition of the OpenCL backend; each enqueue is its
-    own wave (in-order queue). *)
-
-(** {2 Fused plans}
-
-    A fused task runs several stencils in program order over shared
-    tiles, so it may write several grids.  The conflict core is the same
-    bucketed lattice intersection, generalised to per-grid write sets;
-    intra-task overlap is never a conflict (members are sequential within
-    a task). *)
-
-type fused_task = { members : Stencil.t list; ftiles : Domain.resolved list }
-
-val fused_wave_conflicts : fused_task list -> conflict list
-(** Conflicting pairs of concurrent fused tasks; labels are the joined
-    member labels (["a+b"]). *)
-
-val fused_waves_conflicts : fused_task list list -> (int * conflict list) list
-
-val fused_openmp_plan :
-  Config.t -> shape:Sf_util.Ivec.t -> Group.t -> fused_task list list
-(** The wave/task decomposition the OpenMP backend executes under
-    [Config.fusion]: singleton clusters keep the per-stencil plan
-    byte-identical to {!openmp_plan}; multi-member clusters become one
-    task per shared tile. *)
-
-val fused_opencl_plan :
-  Config.t -> shape:Sf_util.Ivec.t -> Group.t -> fused_task list list
-
-val certify :
-  Config.t ->
-  shape:Sf_util.Ivec.t ->
-  backend:[ `Openmp | `Opencl ] ->
-  Group.t ->
-  Sf_analysis.Diagnostics.t list
-(** Build the backend's plan under the given configuration and report
-    every intra-wave conflict as an [SF021] error, plus an [SF022] warning
-    for each [Config.force_parallel] label that overrides the analysis.
-    When [Config.fusion] is on and the partition actually fused
-    something, the fused plan is re-proven at fused-task granularity and
-    its conflicts reported as [SF023] errors.  An empty (or error-free)
-    result certifies the plan race-free. *)
+val certify : Config.t -> Plan.t -> Sf_analysis.Diagnostics.t list
+(** Report each intra-wave conflict of the plan once: as an [SF023]
+    error when either task runs more than one stencil (a fused cluster),
+    otherwise as an [SF021] error located at the first task's stencil.
+    Also an [SF022] warning for each [Config.force_parallel] label that
+    overrides the analysis.  An empty (or error-free) result certifies
+    the plan race-free. *)
 
 val certify_timetile :
   Config.t ->

@@ -93,6 +93,3 @@ let clip_axis ~axis ~lo ~hi (r : Domain.resolved) =
       Some Domain.{ rlo; rhi; rstride = Array.copy r.Domain.rstride }
     end
   end
-
-let npoints_total rs =
-  List.fold_left (fun acc r -> acc + Domain.npoints r) 0 rs

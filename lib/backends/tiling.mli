@@ -37,7 +37,3 @@ val clip_axis :
     intersection is empty.  Clips over consecutive windows partition the
     lattice exactly — the invariant the skewed time-tile slabs of
     [Timetile] are built on. *)
-
-val npoints_total : Domain.resolved list -> int
-(** Sum of points over tiles (equals the input's point count for any
-    partition produced here). *)

@@ -106,87 +106,38 @@ let nblocks p ~shape =
 let describe p =
   Printf.sprintf "time depth %d (block %d, skew %d)" p.reps p.block p.skew
 
-module Trace = Sf_trace.Trace
-
-let compile (cfg : Config.t) ~shape (p : plan) =
-  let shape = Array.copy shape in
+(* slab schedule, fixed per (shape, plan): one wave per slab column, each
+   a single task of the non-empty sub-step clips in ascending sub-step
+   order.  Slab columns run sequentially, so determinism (and bitwise
+   agreement with k plain applications) holds at any worker count by
+   construction. *)
+let lower ~shape (p : plan) =
   let members = Array.of_list (Group.stencils p.group) in
   let nmem = Array.length members in
-  let m = nsubsteps p in
   let rects =
     Array.map (fun s -> Domain.resolve ~shape s.Stencil.domain) members
   in
   let nb = nblocks p ~shape in
-  (* slab schedule, fixed per (shape, plan): per block, the non-empty
-     (member, clipped rects) sub-steps in ascending sub-step order *)
-  let block_clips =
-    Array.init nb (fun b ->
-        let lo0 = b * p.block in
-        let hi0 = lo0 + p.block in
-        List.init m (fun q ->
-            let j = q mod nmem in
-            let sigma = q * p.skew in
-            let clips =
-              List.filter_map
-                (Tiling.clip_axis ~axis:0 ~lo:(lo0 - sigma) ~hi:(hi0 - sigma))
-                rects.(j)
-            in
-            (j, clips))
-        |> List.filter (fun (_, clips) -> clips <> []))
+  let column b =
+    let lo0 = b * p.block in
+    let hi0 = lo0 + p.block in
+    List.concat
+      (List.init (nsubsteps p) (fun q ->
+           let j = q mod nmem in
+           let sigma = q * p.skew in
+           List.filter_map
+             (fun r ->
+               Option.map
+                 (fun clip -> (members.(j), clip))
+                 (Tiling.clip_axis ~axis:0 ~lo:(lo0 - sigma) ~hi:(hi0 - sigma) r))
+             rects.(j)))
   in
-  let block_points =
-    Array.map
-      (List.fold_left (fun acc (_, cs) -> acc + Tiling.npoints_total cs) 0)
-      block_clips
-  in
-  let cache = Run_cache.create () in
-  let names = Group.grids p.group in
-  let glabel = p.group.Group.label in
-  let description =
-    Printf.sprintf
-      "timetile: %d rep(s) x %d sub-step(s), block %d on axis 0, skew %d, \
-       %d slab column(s); sequential"
-      p.reps nmem p.block p.skew nb
-  in
-  let run ?(params = []) grids =
-    let blocks =
-      Run_cache.get cache ~grids ~names ~params (fun () ->
-          if cfg.Config.validate then
-            Array.iter (fun s -> Exec.validate_stencil grids ~shape s) members;
-          let instantiate =
-            Array.map
-              (fun (s : Stencil.t) ->
-                let lookup =
-                  Kernel.param_lookup
-                    ~loc:(Srcloc.stencil ~group:glabel s.Stencil.label)
-                    params
-                in
-                Exec.prepare_compiled grids ~params:lookup s)
-              members
-          in
-          Array.map
-            (fun steps ->
-              List.concat_map
-                (fun (j, clips) -> List.map instantiate.(j) clips)
-                steps)
-            block_clips)
-    in
-    (* sequential slab columns: determinism (and bitwise agreement with k
-       plain applications) holds at any worker count by construction *)
-    if Trace.on () then
-      Array.iteri
-        (fun b thunks ->
-          Trace.span
-            ~args:
-              [
-                ("group", Trace.Str glabel);
-                ("block", Trace.Int b);
-                ("points", Trace.Int block_points.(b));
-              ]
-            Trace.Wave
-            (Printf.sprintf "%s/tblock%d" glabel b)
-            (fun () -> List.iter (fun f -> f ()) thunks))
-        blocks
-    else Array.iter (fun thunks -> List.iter (fun f -> f ()) thunks) blocks
-  in
-  Kernel.make ~name:glabel ~backend:"timetile" ~description run
+  Plan.make ~backend:"timetile" ~shape
+    ~description:
+      (Printf.sprintf
+         "timetile: %d rep(s) x %d sub-step(s), block %d on axis 0, skew %d, \
+          %d slab column(s); sequential"
+         p.reps nmem p.block p.skew nb)
+    ~cost:(Costing.of_timetile ~shape ~reps:p.reps p.group)
+    p.group
+    (List.init nb (fun b -> [ column b ]))

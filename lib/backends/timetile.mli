@@ -57,8 +57,7 @@ val describe : plan -> string
 (** E.g. ["time depth 4 (block 8, skew 1)"] — the [--profile] plan
     line. *)
 
-val compile : Config.t -> shape:Ivec.t -> plan -> Kernel.t
-(** The sequential skewed-slab executor.  One invocation performs
-    [plan.reps] applications of the group.  Slab thunks are instantiated
-    once per (grids, params) binding via [Run_cache]; each slab column is
-    recorded as a [Wave] span when tracing is on. *)
+val lower : shape:Ivec.t -> plan -> Plan.t
+(** The sequential skewed-slab plan: one wave per slab column, each a
+    single task running the column's sub-step clips in order.  One
+    execution performs [plan.reps] applications of the group. *)

@@ -13,9 +13,6 @@ let strides_of shape =
 let emit ?(config = Config.default) ~shape ~grid_shapes (group : Group.t) =
   let grid_strides g = strides_of (grid_shapes g) in
   let stencils = Array.of_list (Group.stencils group) in
-  let plans =
-    Array.map (Openmp_backend.plan_stencil config ~shape) stencils
-  in
   let waves = Openmp_backend.waves_of config ~shape group in
   let body = ref [] in
   let push s = body := s :: !body in
@@ -28,32 +25,28 @@ let emit ?(config = Config.default) ~shape ~grid_shapes (group : Group.t) =
            let stencil_stmts =
              List.concat_map
                (fun idx ->
-                 let p = plans.(idx) in
-                 let s = p.Openmp_backend.stencil in
+                 let s = stencils.(idx) in
+                 let parallel_ok = Plan.parallel_ok config ~shape s in
                  let label =
                    Printf.sprintf "stencil %s%s" s.Stencil.label
-                     (if p.Openmp_backend.parallel_ok then ""
+                     (if parallel_ok then ""
                       else " (sequential: loop-carried dependence)")
                  in
+                 (* one OpenMP task per plan task: a tile, or the whole
+                    sequential stencil *)
                  C_ast.Comment label
-                 ::
-                 (if p.Openmp_backend.parallel_ok then
-                    List.concat_map
-                      (fun tile ->
-                        C_ast.Pragma "omp task"
-                        :: [
-                             C_ast.Block
-                               (Lower.rect_loops ~grid_strides s tile);
-                           ])
-                      p.Openmp_backend.tiles
-                  else
-                    [
-                      C_ast.Pragma "omp task";
-                      C_ast.Block
-                        (List.concat_map
-                           (Lower.rect_loops ~grid_strides s)
-                           p.Openmp_backend.tiles);
-                    ]))
+                 :: List.concat_map
+                      (fun task ->
+                        [
+                          C_ast.Pragma "omp task";
+                          C_ast.Block
+                            (List.concat_map
+                               (fun (s, tile) ->
+                                 Lower.rect_loops ~grid_strides s tile)
+                               task);
+                        ])
+                      (Plan.cluster_tasks config ~shape
+                         ~split:(Openmp_backend.split config) [ s ]))
                indices
            in
            (C_ast.Comment (Printf.sprintf "wave %d" w) :: stencil_stmts)

@@ -226,6 +226,11 @@ type bug =
 
 let buggy_name = "sffuzz-buggy"
 
+(* the honest sequential executor the injected bugs wrap *)
+let compiled config ~shape group =
+  Plan.execute ~tier:Plan.Compiled config
+    (Serial_backend.lower ~backend:"compiled" ~shape group)
+
 let injected_target bug =
   Jit.register_backend ~name:buggy_name (fun config ~shape group ->
       match bug with
@@ -238,9 +243,9 @@ let injected_target bug =
                 (List.filteri (fun i _ -> i < n - 1) ss)
             else group
           in
-          Serial_backend.compile_compiled config ~shape group'
+          compiled config ~shape group'
       | Perturb_first_cell ->
-          let k = Serial_backend.compile_compiled config ~shape group in
+          let k = compiled config ~shape group in
           let out = (List.hd (Group.stencils group)).Stencil.output in
           Kernel.make ~name:k.Kernel.name ~backend:buggy_name
             ~description:"compiled + one perturbed cell"
@@ -249,7 +254,7 @@ let injected_target bug =
               let m = Grids.find grids out in
               Mesh.set_flat m 0 (Mesh.get_flat m 0 +. 1e-3))
       | Kernel_raise ->
-          let k = Serial_backend.compile_compiled config ~shape group in
+          let k = compiled config ~shape group in
           Kernel.make ~name:k.Kernel.name ~backend:buggy_name
             ~description:"compiled, then raises"
             (fun ?params grids ->
@@ -262,7 +267,7 @@ let injected_target bug =
                      detail = buggy_name ^ ":" ^ group.Group.label;
                    }))
       | Nan_poison_cell ->
-          let k = Serial_backend.compile_compiled config ~shape group in
+          let k = compiled config ~shape group in
           let out = (List.hd (Group.stencils group)).Stencil.output in
           Kernel.make ~name:k.Kernel.name ~backend:buggy_name
             ~description:"compiled + one NaN-poisoned cell"
@@ -281,12 +286,13 @@ let injected_target bug =
               Timetile.plan ~skew:0 ~block:2 config ~shape ~reps:2 group
             else None
           with
-          | Some p -> Timetile.compile config ~shape p
+          | Some p ->
+              Plan.execute ~tier:Plan.Compiled config (Timetile.lower ~shape p)
           | None ->
               (* not susceptible (no axis-0 dependence, or untileable):
                  degrade to an honest two-application loop so the target
                  stays divergence-free *)
-              let k = Serial_backend.compile_compiled config ~shape group in
+              let k = compiled config ~shape group in
               Kernel.make ~name:k.Kernel.name ~backend:buggy_name
                 ~description:"two plain applications"
                 (fun ?params grids ->

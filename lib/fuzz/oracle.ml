@@ -13,8 +13,8 @@ let run ?fill backend config (spec : Gen.spec) =
 let pool_determinism ?(workers = 4) (spec : Gen.spec) =
   let config = Config.with_workers workers Config.default in
   let diags =
-    Schedule_check.certify config ~shape:spec.Gen.shape ~backend:`Openmp
-      spec.Gen.group
+    Schedule_check.certify config
+      (Jit.lower ~config Jit.Openmp ~shape:spec.Gen.shape spec.Gen.group)
   in
   if Sf_analysis.Diagnostics.has_errors diags then Ok ()
   else
@@ -42,9 +42,9 @@ let certify_clean (spec : Gen.spec) =
   let static =
     List.concat_map
       (fun backend ->
-        Schedule_check.certify config ~shape:spec.Gen.shape ~backend
-          spec.Gen.group)
-      [ `Openmp; `Opencl ]
+        Schedule_check.certify config
+          (Jit.lower ~config backend ~shape:spec.Gen.shape spec.Gen.group))
+      [ Jit.Openmp; Jit.Opencl ]
   in
   if Sf_analysis.Diagnostics.has_errors static then
     Error

@@ -909,12 +909,16 @@ let run_verify _opts =
     (Printf.sprintf "max backend deviation %.2e" backend_diff);
   (* 4. parallel plans are conflict-free *)
   let plan_ok =
-    Sf_backends.Schedule_check.check_waves
-      (Sf_backends.Schedule_check.openmp_plan
-         (Config.with_workers 4 Config.default)
+    List.for_all
+      (fun (w : Sf_backends.Plan.wave) ->
+        Sf_backends.Schedule_check.wave_conflicts w.Sf_backends.Plan.tasks
+        = [])
+      (Jit.lower
+         ~config:(Config.with_workers 4 Config.default)
+         Jit.Openmp
          ~shape:(Ivec.of_list [ 18; 18; 18 ])
          Operators.gsrb_smooth)
-    = Ok ()
+        .Sf_backends.Plan.waves
   in
   check "plan conflict-freedom" plan_ok "exact lattice check on all waves";
   emit_table "verify" t

@@ -218,7 +218,7 @@ let test_split_partitions () =
   let r = resolved [ 1; 1 ] [ -1; -1 ] [ 1; 1 ] [ 10; 13 ] in
   let tiles = Tiling.split ~tile:[ 3; 4 ] r in
   check_bool "partition" true (tiles_partition_exactly r tiles);
-  check_int "points preserved" (Domain.npoints r) (Tiling.npoints_total tiles)
+  check_int "points preserved" (Domain.npoints r) (Domain.npoints_union tiles)
 
 let test_split_strided () =
   let r = resolved [ 1; 2 ] [ 9; 9 ] [ 2; 3 ] [ 10; 10 ] in
@@ -777,24 +777,31 @@ let test_pool_more_workers_than_tasks () =
 
 (* ---------------------------------------------------- schedule checker *)
 
+(* every conflict of every wave of a plan *)
+let plan_conflicts (plan : Plan.t) =
+  List.concat_map
+    (fun (w : Plan.wave) -> Schedule_check.wave_conflicts w.Plan.tasks)
+    plan.Plan.waves
+
+let check_plan_clean what plan =
+  match plan_conflicts plan with
+  | [] -> ()
+  | c :: _ ->
+      Alcotest.failf "%s rejected: %s" what (Schedule_check.conflict_to_string c)
+
 let test_checker_accepts_gsrb_plan () =
   let shape = iv [ 12; 12 ] in
   List.iter
     (fun config ->
-      let waves = Schedule_check.openmp_plan config ~shape (gsrb_group ()) in
-      match Schedule_check.check_waves waves with
-      | Ok () -> ()
-      | Error msg -> Alcotest.failf "gsrb plan rejected: %s" msg)
+      check_plan_clean "gsrb plan"
+        (Jit.lower ~config Jit.Openmp ~shape (gsrb_group ())))
     [
       Config.default;
       { Config.default with tile = Some [ 3; 3 ] };
       { Config.default with multicolor = true };
       { Config.default with schedule = Config.Dag_levels };
     ];
-  let ocl = Schedule_check.opencl_plan Config.default ~shape (gsrb_group ()) in
-  match Schedule_check.check_waves ocl with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "opencl plan rejected: %s" msg
+  check_plan_clean "opencl plan" (Jit.lower Jit.Opencl ~shape (gsrb_group ()))
 
 let test_checker_rejects_bogus_wave () =
   (* two tiles of an in-place full-domain Gauss-Seidel placed in one wave
@@ -810,12 +817,10 @@ let test_checker_rejects_bogus_wave () =
       (List.hd s.Stencil.domain)
   in
   let tiles = Tiling.split_outer ~chunks:2 rect in
-  let wave =
-    List.map (fun t -> Schedule_check.{ stencil = s; tiles = [ t ] }) tiles
-  in
-  match Schedule_check.check_wave wave with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "conflicting wave accepted"
+  let wave = Array.of_list (List.map (fun t -> [ (s, t) ]) tiles) in
+  match Schedule_check.wave_conflicts wave with
+  | _ :: _ -> ()
+  | [] -> Alcotest.fail "conflicting wave accepted"
 
 let gs_in_place_1d () =
   Stencil.make ~label:"gs" ~output:"u"
@@ -830,9 +835,7 @@ let test_checker_collects_all_conflicts () =
   let s = gs_in_place_1d () in
   let rect = Domain.resolve_rect ~shape:(iv [ 41 ]) (List.hd s.Stencil.domain) in
   let tiles = Tiling.split_outer ~chunks:4 rect in
-  let wave =
-    List.map (fun t -> Schedule_check.{ stencil = s; tiles = [ t ] }) tiles
-  in
+  let wave = Array.of_list (List.map (fun t -> [ (s, t) ]) tiles) in
   let cs = Schedule_check.wave_conflicts wave in
   check_int "all six conflicts" 6 (List.length cs);
   List.iter
@@ -847,16 +850,22 @@ let test_checker_collects_all_conflicts () =
   in
   Alcotest.(check (list string)) "both directions" [ "read/write"; "write/read" ]
     kinds;
-  (* the compat interface surfaces the surplus count *)
-  (match Schedule_check.check_wave wave with
-  | Error msg ->
-      let has_more =
-        let n = String.length msg in
-        let rec go i = i < n && (msg.[i] = '+' || go (i + 1)) in
-        go 0
-      in
-      check_bool "mentions remaining conflicts" true has_more
-  | Ok () -> Alcotest.fail "conflicting wave accepted")
+  (* certification surfaces every one of them, not just the first: a
+     forced-parallel plan with exactly these four tiles reports all six
+     as SF021 rows *)
+  let group = Group.make ~label:"gs4" [ s ] in
+  let config =
+    { Config.default with Config.force_parallel = [ "gs" ]; chunks = 4 }
+  in
+  let plan = Jit.lower ~config Jit.Openmp ~shape:(iv [ 41 ]) group in
+  check_int "plan runs the four tiles" 4
+    (Array.length (List.hd plan.Plan.waves).Plan.tasks);
+  check_int "every conflict certified" 6
+    (List.length
+       (List.filter
+          (fun (d : Sf_analysis.Diagnostics.t) ->
+            d.Sf_analysis.Diagnostics.code = "SF021")
+          (Schedule_check.certify config plan)))
 
 let test_checker_buckets_by_grid () =
   (* tasks whose footprints overlap cell-wise but live on different grids
@@ -868,12 +877,11 @@ let test_checker_buckets_by_grid () =
       ()
   in
   let t s =
-    Schedule_check.
-      { stencil = s; tiles = [ Domain.resolve_rect ~shape:(iv [ 20 ]) (List.hd s.Stencil.domain) ] }
+    [ (s, Domain.resolve_rect ~shape:(iv [ 20 ]) (List.hd s.Stencil.domain)) ]
   in
   check_int "disjoint grids clean" 0
     (List.length
-       (Schedule_check.wave_conflicts [ t (mk "a" "x" "p"); t (mk "b" "y" "q") ]))
+       (Schedule_check.wave_conflicts [| t (mk "a" "x" "p"); t (mk "b" "y" "q") |]))
 
 let test_force_parallel_override () =
   (* force_parallel makes the backend tile a stencil the analysis proved
@@ -889,15 +897,14 @@ let test_force_parallel_override () =
       tall_skinny = (2, 8);
     }
   in
-  (match
-     Schedule_check.check_waves (Schedule_check.openmp_plan config ~shape group)
-   with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "forced racy plan certified");
+  if plan_conflicts (Jit.lower ~config Jit.Openmp ~shape group) = [] then
+    Alcotest.fail "forced racy plan certified";
   let code (d : Sf_analysis.Diagnostics.t) = d.Sf_analysis.Diagnostics.code in
   List.iter
     (fun backend ->
-      let diags = Schedule_check.certify config ~shape ~backend group in
+      let diags =
+        Schedule_check.certify config (Jit.lower ~config backend ~shape group)
+      in
       check_bool "SF021 race reported" true
         (List.exists
            (fun d ->
@@ -906,17 +913,18 @@ let test_force_parallel_override () =
            diags);
       check_bool "SF022 override warned" true
         (List.exists (fun d -> code d = "SF022") diags))
-    [ `Openmp; `Opencl ];
+    [ Jit.Openmp; Jit.Opencl ];
   (* without the override the same group plans sequentially and certifies *)
   Alcotest.(check (list string)) "default config clean" []
     (List.map code
-       (Schedule_check.certify Config.default ~shape ~backend:`Openmp group));
+       (Schedule_check.certify Config.default
+          (Jit.lower Jit.Openmp ~shape group)));
   (* gsrb certifies clean under every config the plan tests cover *)
   Alcotest.(check (list string)) "gsrb certifies" []
     (List.map code
-       (Schedule_check.certify
-          { Config.default with multicolor = true }
-          ~shape:(iv [ 12; 12 ]) ~backend:`Openmp (gsrb_group ())))
+       (let config = { Config.default with multicolor = true } in
+        Schedule_check.certify config
+          (Jit.lower ~config Jit.Openmp ~shape:(iv [ 12; 12 ]) (gsrb_group ()))))
 
 let test_jit_certification_gate () =
   Jit.clear_cache ();
@@ -992,9 +1000,7 @@ let random_plan_prop =
       let shape = iv [ 11; 13 ] in
       List.for_all
         (fun config ->
-          Schedule_check.check_waves
-            (Schedule_check.openmp_plan config ~shape group)
-          = Ok ())
+          plan_conflicts (Jit.lower ~config Jit.Openmp ~shape group) = [])
         [
           Config.default;
           { Config.default with tile = Some [ 2; 5 ] };
@@ -1124,7 +1130,8 @@ let test_custom_backend_registry () =
   let calls = ref 0 in
   Jit.register_backend ~name:"unit-test-backend" (fun config ~shape group ->
       incr calls;
-      Serial_backend.compile_compiled config ~shape group);
+      Plan.execute ~tier:Plan.Compiled config
+        (Serial_backend.lower ~backend:"compiled" ~shape group));
   check_bool "resolvable" true
     (Jit.backend_of_string "unit-test-backend" = Some (Jit.Custom "unit-test-backend"));
   check_bool "listed" true
@@ -1146,7 +1153,8 @@ let test_custom_backend_registry () =
   (* built-in names are protected *)
   (try
      Jit.register_backend ~name:"openmp" (fun c ~shape g ->
-         Serial_backend.compile_compiled c ~shape g);
+         Plan.execute ~tier:Plan.Compiled c
+           (Serial_backend.lower ~backend:"compiled" ~shape g));
      Alcotest.fail "built-in collision accepted"
    with Invalid_argument _ -> ());
   (* unknown custom name fails at compile *)
@@ -1316,9 +1324,8 @@ let test_pool_worker_count_bitwise () =
   let shape = iv [ 12; 14 ] in
   let group = gsrb_group () in
   let diags =
-    Schedule_check.certify
-      (Config.with_workers 4 Config.default)
-      ~shape ~backend:`Openmp group
+    let config = Config.with_workers 4 Config.default in
+    Schedule_check.certify config (Jit.lower ~config Jit.Openmp ~shape group)
   in
   check_bool "gsrb certifies race-free" false
     (Sf_analysis.Diagnostics.has_errors diags);

@@ -34,12 +34,14 @@ let test_waves () =
 let test_plan_conflict_free () =
   let t = Spmd.create ~rank_grid:[ 2; 2 ] ~local_n:4 in
   let group = Spmd.gsrb_smooth_group t in
-  match
-    Schedule_check.check_waves
-      (Schedule_check.openmp_plan Config.default ~shape:t.Spmd.shape group)
-  with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "spmd plan conflict: %s" msg
+  List.iter
+    (fun (w : Plan.wave) ->
+      match Schedule_check.wave_conflicts w.Plan.tasks with
+      | [] -> ()
+      | c :: _ ->
+          Alcotest.failf "spmd plan conflict: %s"
+            (Schedule_check.conflict_to_string c))
+    (Jit.lower Jit.Openmp ~shape:t.Spmd.shape group).Plan.waves
 
 (* Reference single-domain run of the same (rank-unqualified) groups on a
    possibly non-cubic global box. *)

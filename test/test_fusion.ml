@@ -104,7 +104,7 @@ let test_split_tile_one () =
     (fun r ->
       let tiles = Tiling.split ~tile:[ 1; 1 ] r in
       check_int "tile 1 partitions exactly" (Domain.npoints r)
-        (Tiling.npoints_total tiles);
+        (Domain.npoints_union tiles);
       List.iter
         (fun t -> check_int "one point per tile" 1 (Domain.npoints t))
         tiles)
@@ -116,7 +116,7 @@ let test_split_tile_larger_than_axis () =
       let tiles = Tiling.split ~tile:[ 64; 64 ] r in
       check_int "single tile" 1 (List.length tiles);
       check_int "exact points" (Domain.npoints r)
-        (Tiling.npoints_total tiles))
+        (Domain.npoints_union tiles))
     (strided_rect ())
 
 (* the property the skewed slab schedule rests on: for ANY block size and
@@ -141,7 +141,7 @@ let test_clip_axis_partition_exact () =
               check_int
                 (Printf.sprintf "block %d sigma %d partitions" block sigma)
                 (Domain.npoints r)
-                (Tiling.npoints_total clipped))
+                (Domain.npoints_union clipped))
             [ 0; 1; 2; 5 ])
         [ 1; 2; 3; 8; 64 ])
     (strided_rect ())
@@ -219,10 +219,11 @@ let test_fused_certify_clean () =
   List.iter
     (fun backend ->
       check_bool "no diagnostics" true
-        (Schedule_check.certify cfg ~shape:(iv [ 12; 12 ]) ~backend
-           (pipeline_group ())
+        (Schedule_check.certify cfg
+           (Jit.lower ~config:cfg backend ~shape:(iv [ 12; 12 ])
+              (pipeline_group ()))
         = []))
-    [ `Openmp; `Opencl ]
+    [ Jit.Openmp; Jit.Opencl ]
 
 (* ------------------------------------------------ fused conflict engine *)
 
@@ -238,19 +239,20 @@ let test_fused_wave_conflicts_detects () =
     Domain.resolve_rect ~shape:(iv [ 8 ]) (Domain.rect ~lo:[ lo ] ~hi:[ hi ] ())
   in
   (* overlapping fused tasks: both write u on [2,6) *)
-  let t1 = Schedule_check.{ members = [ a; b ]; ftiles = [ tile 0 6 ] } in
-  let t2 = Schedule_check.{ members = [ a ]; ftiles = [ tile 2 8 ] } in
-  (match Schedule_check.fused_wave_conflicts [ t1; t2 ] with
+  let fused members tile = List.map (fun s -> (s, tile)) members in
+  let t1 = fused [ a; b ] (tile 0 6) in
+  let t2 = fused [ a ] (tile 2 8) in
+  (match Schedule_check.wave_conflicts [| t1; t2 |] with
   | [ c ] ->
       check_string "labels" "a+b" c.Schedule_check.first_label;
       check_string "grid" "u" c.Schedule_check.grid;
       check_string "kind" "write/write" c.Schedule_check.kind
   | cs -> Alcotest.failf "expected 1 conflict, got %d" (List.length cs));
   (* disjoint fused tasks are clean *)
-  let t3 = Schedule_check.{ members = [ a; b ]; ftiles = [ tile 0 4 ] } in
-  let t4 = Schedule_check.{ members = [ a; b ]; ftiles = [ tile 4 8 ] } in
+  let t3 = fused [ a; b ] (tile 0 4) in
+  let t4 = fused [ a; b ] (tile 4 8) in
   check_int "disjoint clean" 0
-    (List.length (Schedule_check.fused_wave_conflicts [ t3; t4 ]))
+    (List.length (Schedule_check.wave_conflicts [| t3; t4 |]))
 
 let test_certify_fused_sf023 () =
   (* both stencils cover an overlapping two-rect domain union and are
@@ -273,7 +275,10 @@ let test_certify_fused_sf023 () =
       tile = Some [ 2 ];
     }
   in
-  let diags = Schedule_check.certify cfg ~shape:(iv [ 10 ]) ~backend:`Openmp group in
+  let diags =
+    Schedule_check.certify cfg
+      (Jit.lower ~config:cfg Jit.Openmp ~shape:(iv [ 10 ]) group)
+  in
   check_bool "SF023 reported" true
     (List.exists
        (fun d -> d.Sf_analysis.Diagnostics.code = "SF023")
@@ -325,6 +330,27 @@ let test_timetile_bitwise_identical () =
       (Jit.Openmp, { Config.default with Config.workers = 4 });
       (Jit.Openmp, { Config.default with Config.workers = 4; time_block = 2 });
     ]
+
+let test_timetile_wave_fault () =
+  (* slab columns are plan waves, so they consult the "wave" fault site
+     like every other backend's waves *)
+  let module Fault = Sf_resilience.Fault in
+  let shape = iv [ 13; 11 ] in
+  let kernel =
+    Jit.compile_time_tiled ~reps:2 Jit.Compiled ~shape (gsrb_group ())
+  in
+  check_string "time-tiled" "timetile" kernel.Kernel.backend;
+  Fun.protect
+    ~finally:(fun () ->
+      Fault.disarm ();
+      Fault.reset_counts ())
+    (fun () ->
+      Fault.arm_exn "wave:raise";
+      match kernel.Kernel.run (gsrb_mesh shape) with
+      | () -> Alcotest.fail "the wave site never fired"
+      | exception Fault.Injected { site; detail; _ } ->
+          check_string "site" "wave" site;
+          check_string "detail" "gsrb/wave0" detail)
 
 let test_timetile_fallback_loop () =
   (* non-identity out_map -> Timetile refuses -> plain reps-loop, same
@@ -566,6 +592,7 @@ let () =
           Alcotest.test_case "bitwise identical" `Quick
             test_timetile_bitwise_identical;
           Alcotest.test_case "fallback loop" `Quick test_timetile_fallback_loop;
+          Alcotest.test_case "wave fault site" `Quick test_timetile_wave_fault;
           Alcotest.test_case "SF024/SF025" `Quick
             test_certify_timetile_sf024_sf025;
           Alcotest.test_case "certify + fallback" `Quick

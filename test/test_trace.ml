@@ -1,7 +1,8 @@
 (* Tests for the sf_trace substrate: span nesting and attribution across
-   all four backends, counter exactness against the analytic domain size,
-   the disabled-mode zero-overhead contract, and the Chrome trace_event
-   JSON export. *)
+   every plan shape (the four backends, fusion and time tiling), one
+   wave-span argument set, counter exactness against the analytic domain
+   size, the disabled-mode zero-overhead contract, and the Chrome
+   trace_event JSON export. *)
 
 open Sf_util
 open Sf_mesh
@@ -63,18 +64,64 @@ let backends =
 
 (* ------------------------------------------------- nesting/attribution *)
 
+(* two pointwise stencils over one domain: cofusible, so fusion runs them
+   as one cluster — a single wave of multi-stencil tasks *)
+let fusable_group label =
+  let interior = Domain.interior 2 ~ghost:1 in
+  Group.make ~label
+    [
+      Stencil.make ~label:(label ^ "_scale") ~output:"tmp"
+        ~expr:Expr.(read "mesh" (iv [ 0; 0 ]) *: const 0.5)
+        ~domain:interior ();
+      Stencil.make ~label:(label ^ "_add") ~output:"mesh"
+        ~expr:Expr.(read "tmp" (iv [ 0; 0 ]) +: read "mesh" (iv [ 0; 0 ]))
+        ~domain:interior ();
+    ]
+
+(* every plan shape the executor runs: (case, kernel backend, group
+   builder, compile, expected wave count) *)
+let plan_cases ~shape =
+  let plain backend config =
+    ( Jit.backend_name backend,
+      two_stencil_group,
+      (fun group -> Jit.compile ~config backend ~shape group),
+      fun _ -> 2 )
+  in
+  [
+    plain Jit.Interp Config.default;
+    plain Jit.Compiled Config.default;
+    plain Jit.Openmp (Config.with_workers 2 Config.default);
+    ( "openmp",
+      fusable_group,
+      (fun group ->
+        Jit.compile
+          ~config:
+            { (Config.with_workers 2 Config.default) with Config.fusion = true }
+          Jit.Openmp ~shape group),
+      fun _ -> 1 );
+    plain Jit.Opencl Config.default;
+    ( "timetile",
+      two_stencil_group,
+      (fun group -> Jit.compile_time_tiled ~reps:2 Jit.Compiled ~shape group),
+      fun group ->
+        match Timetile.plan Config.default ~shape ~reps:2 group with
+        | Some p -> Timetile.nblocks p ~shape
+        | None -> Alcotest.fail "gsrb pair not time-tileable" );
+  ]
+
 let test_span_nesting_all_backends () =
   Jit.clear_cache ();
   let shape = iv [ 12; 12 ] in
-  List.iter
-    (fun (backend, config) ->
-      let bname = Jit.backend_name backend in
-      let label = "trace2_" ^ bname in
-      let group = two_stencil_group label in
+  List.iteri
+    (fun case (bname, make_group, compile, expected_waves) ->
+      let label = Printf.sprintf "trace2_%s_%d" bname case in
+      let group = make_group label in
       Trace.with_enabled true (fun () ->
           Trace.clear ();
-          let kernel = Jit.compile ~config backend ~shape group in
-          kernel.Kernel.run (mk_grids shape);
+          let kernel = compile group in
+          let grids = mk_grids shape in
+          Grids.add grids "tmp" (Mesh.create shape);
+          kernel.Kernel.run grids;
           let events = Trace.events () in
           let kernels =
             List.filter
@@ -97,8 +144,8 @@ let test_span_nesting_all_backends () =
             (List.for_all
                (fun key -> arg_int key k.Trace.args <> None)
                [ "cells"; "flops"; "bytes" ]);
-          (* two stencils, sequential semantics or colored waves: every
-             wave span of this group nests inside the kernel span *)
+          (* every wave span of this group nests inside the kernel span
+             and carries one argument set *)
           let waves =
             List.filter
               (fun e ->
@@ -106,17 +153,43 @@ let test_span_nesting_all_backends () =
                 && arg_str "group" e.Trace.args = Some label)
               events
           in
-          check_int (bname ^ ": one wave per stencil") 2 (List.length waves);
+          check_int (bname ^ ": wave count") (expected_waves group)
+            (List.length waves);
           let k_end = k.Trace.ts_us +. k.Trace.dur_us in
-          List.iter
-            (fun w ->
+          List.iteri
+            (fun i w ->
               check_bool
                 (bname ^ ": wave nested in kernel")
                 true
                 (w.Trace.ts_us >= k.Trace.ts_us -. 1.0
-                && w.Trace.ts_us +. w.Trace.dur_us <= k_end +. 1.0))
-            waves))
-    backends
+                && w.Trace.ts_us +. w.Trace.dur_us <= k_end +. 1.0);
+              Alcotest.(check string)
+                (bname ^ ": wave span name")
+                (Printf.sprintf "%s/wave%d" label i)
+                w.Trace.name;
+              Alcotest.(check (option int))
+                (bname ^ ": wave index") (Some i)
+                (arg_int "wave" w.Trace.args);
+              check_bool
+                (bname ^ ": wave carries points and tasks")
+                true
+                (List.for_all
+                   (fun key -> arg_int key w.Trace.args <> None)
+                   [ "points"; "tasks" ]);
+              check_bool
+                (bname ^ ": wave carries its stencils")
+                true
+                (arg_str "stencil" w.Trace.args <> None))
+            waves;
+          Alcotest.(check (option int))
+            (bname ^ ": wave points sum to kernel cells")
+            (arg_int "cells" k.Trace.args)
+            (Some
+               (List.fold_left
+                  (fun acc w ->
+                    acc + Option.value ~default:0 (arg_int "points" w.Trace.args))
+                  0 waves))))
+    (plan_cases ~shape)
 
 let test_compile_span_and_cache_counters () =
   Jit.clear_cache ();
