@@ -16,6 +16,10 @@ open Sf_util
 module Trace = Sf_trace.Trace
 module Json = Sf_trace.Json
 
+(* counted only while tracing *)
+let db_hits = Sf_trace.Metrics.counter "autotune.db_hits"
+let db_misses = Sf_trace.Metrics.counter "autotune.db_misses"
+
 type plan = {
   fusion : bool;
   tile : int list option;
@@ -308,7 +312,7 @@ let tune ?db ?(top = 3) ?(persist = true) ~config ~backend ~shape ~reps
   let k = key ~config ~backend:bname ~shape ~reps group in
   match db_lookup ~path k with
   | Some plan ->
-      Trace.add Trace.Tune_db_hits 1;
+      if Trace.on () then Atomic.incr db_hits;
       {
         plan;
         config = apply plan config;
@@ -317,7 +321,7 @@ let tune ?db ?(top = 3) ?(persist = true) ~config ~backend ~shape ~reps
         source = Db;
       }
   | None ->
-      Trace.add Trace.Tune_db_misses 1;
+      if Trace.on () then Atomic.incr db_misses;
       let ranked =
         candidates config ~shape ~reps group
         |> List.map (fun p ->

@@ -8,7 +8,7 @@
     caller, and persists the winner in a JSON DB keyed by (group, shape,
     backend, workers, reps, machine fingerprint).  A later run with the
     same key replays the stored plan without measuring anything
-    ([Tune_db_hits] in the trace counters); any key change — different
+    ([autotune.db_hits] among the traced counters); any key change — different
     hardware, worker count, group or shape — misses and re-tunes.
 
     The DB lives at [$SF_TUNE_DB], or [~/.cache/snowflake/tuning.json];

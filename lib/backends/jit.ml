@@ -66,8 +66,9 @@ type key = {
 }
 
 let cache : (key, Kernel.t) Hashtbl.t = Hashtbl.create 64
-let hits = Atomic.make 0
-let misses = Atomic.make 0
+let hits = Sf_trace.Metrics.counter "jit.hits"
+let misses = Sf_trace.Metrics.counter "jit.misses"
+let cells = Sf_trace.Metrics.counter "jit.cells"
 
 module Trace = Sf_trace.Trace
 module Fault = Sf_resilience.Fault
@@ -115,7 +116,7 @@ let instrument ~cost ~backend group (kernel : Kernel.t) =
       else None
     in
     (if Trace.on () then begin
-       Trace.add Trace.Cells_updated cost.Costing.cells;
+       ignore (Atomic.fetch_and_add cells cost.Costing.cells);
        Trace.span ~args:span_args Trace.Kernel group.Group.label (fun () ->
            kernel.Kernel.run ?params grids)
      end
@@ -157,11 +158,9 @@ let cached key build =
   match locked (fun () -> Hashtbl.find_opt cache key) with
   | Some kernel ->
       Atomic.incr hits;
-      if Trace.on () then Trace.add Trace.Cache_hits 1;
       kernel
   | None ->
       Atomic.incr misses;
-      if Trace.on () then Trace.add Trace.Cache_misses 1;
       let kernel = build () in
       locked (fun () ->
           match Hashtbl.find_opt cache key with

@@ -102,6 +102,8 @@ val cache_key_hex : ?config:Config.t -> ?reps:int -> backend ->
     instead of letting them race inside {!compile}. *)
 
 val cache_stats : unit -> int * int
-(** (hits, misses) since start or last {!clear_cache}. *)
+(** The [jit.hits] and [jit.misses] counters of {!Sf_trace.Metrics}: cache
+    hits and misses since start, the last {!clear_cache} or the last
+    [Metrics.reset]. *)
 
 val clear_cache : unit -> unit

@@ -1,4 +1,12 @@
-module Trace = Sf_trace.Trace
+(* Counted whether or not tracing is on: a long-lived server reports
+   them in STATS. *)
+let counter name = Sf_trace.Metrics.counter ("native." ^ name)
+let failures_c = counter "failures"
+let structures_c = counter "structures"
+let compiles_c = counter "compiles"
+let compile_ms_c = counter "compile_ms"
+let disk_hits_c = counter "disk_hits"
+let promotions_c = counter "promotions"
 
 type entry = floatarray array -> floatarray -> int array -> int array -> unit
 type verdict = Run of entry | Interpret | Measure
@@ -40,7 +48,7 @@ let registry : (string, structure) Hashtbl.t = Hashtbl.create 16
 let failure_log = ref []
 
 let fail msg =
-  Trace.note Trace.Native_failures 1;
+  Atomic.incr failures_c;
   Mutex.protect mu (fun () ->
       failure_log := List.filteri (fun i _ -> i < 16) (msg :: !failure_log))
 
@@ -144,7 +152,7 @@ let structure form =
             { form; artefact = None; state = Atomic.make Cold; cold_ns = Atomic.make 0 }
           in
           Hashtbl.add registry key st;
-          Trace.note Trace.Native_structures 1;
+          Atomic.incr structures_c;
           st)
 
 (* Worked out the first time a structure is a candidate for promotion:
@@ -236,8 +244,8 @@ let build st ~name dir path =
         [| compiler (); "-shared"; "-w"; "-a"; "-o"; out; ml |];
       let dt = clock () - t0 in
       Atomic.set compile_ns dt;
-      Trace.note Trace.Native_compiles 1;
-      Trace.note Trace.Native_compile_ms (dt / 1_000_000);
+      Atomic.incr compiles_c;
+      ignore (Atomic.fetch_and_add compile_ms_c (dt / 1_000_000));
       Unix.rename out path)
 
 (* Modules loaded by this process, by name: Dynlink refuses a unit name
@@ -266,7 +274,7 @@ let obtain st ~name =
   | None ->
       let dir = match the_cache_dir () with Ok d -> d | Error _ -> raise Recorded in
       let path = artefact dir name in
-      if Sys.file_exists path then Trace.note Trace.Native_disk_hits 1
+      if Sys.file_exists path then Atomic.incr disk_hits_c
       else build st ~name dir path;
       load ~name path
 
@@ -282,7 +290,7 @@ let promote st =
     match obtain st ~name with
     | f ->
         Atomic.set st.state (Promoted (Run f));
-        Trace.note Trace.Native_promotions 1
+        Atomic.incr promotions_c
     | exception Recorded -> Atomic.set st.state Failed
     | exception e ->
         Atomic.set st.state Failed;

@@ -17,6 +17,7 @@
    spawned once (lazily) and reused by every kernel in the process. *)
 
 module Trace = Sf_trace.Trace
+module Metrics = Sf_trace.Metrics
 module Fault = Sf_resilience.Fault
 
 type job = {
@@ -41,56 +42,18 @@ let helpers : unit Domain.t list ref = ref []
    user code can spawn its own. *)
 let max_helpers = 120
 
-(* ---------------------------------------------------------------- stats *)
+(* -------------------------------------------------------------- metrics *)
 
-type stats = {
-  live_domains : int;
-  spawned : int;
-  jobs : int;
-  chunks : int;
-  stolen : int;
-  inline_runs : int;
-  skipped : int;
-}
-
-let spawned_c = Atomic.make 0
-let jobs_c = Atomic.make 0
-let chunks_c = Atomic.make 0
-let stolen_c = Atomic.make 0
-let inline_c = Atomic.make 0
-let skipped_c = Atomic.make 0
-
-let stats () =
-  Mutex.lock lock;
-  let live = List.length !helpers in
-  Mutex.unlock lock;
-  {
-    live_domains = live;
-    spawned = Atomic.get spawned_c;
-    jobs = Atomic.get jobs_c;
-    chunks = Atomic.get chunks_c;
-    stolen = Atomic.get stolen_c;
-    inline_runs = Atomic.get inline_c;
-    skipped = Atomic.get skipped_c;
-  }
-
-(* Every counter is a session counter: resetting must cover [spawned_c]
-   too, or a later [pp_stats] reports lifetime spawns against per-session
-   jobs/chunks.  [live_domains] is instantaneous, not a counter. *)
-let reset_stats () =
-  Atomic.set spawned_c 0;
-  Atomic.set jobs_c 0;
-  Atomic.set chunks_c 0;
-  Atomic.set stolen_c 0;
-  Atomic.set inline_c 0;
-  Atomic.set skipped_c 0
-
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "%d domain(s) live; since last reset: %d spawned, %d batch(es) \
-     dispatched, %d chunk(s) (%d stolen by helpers, %d skipped by aborts); \
-     %d inline run(s)"
-    s.live_domains s.spawned s.jobs s.chunks s.stolen s.skipped s.inline_runs
+(* Always counted, tracing or not.  [pool.chunks] counts every chunk a
+   dispatched batch drains, run or skipped, so after a join it equals the
+   chunks published. *)
+let spawned_c = Metrics.counter "pool.spawned"
+let batches_c = Metrics.counter "pool.batches"
+let chunks_c = Metrics.counter "pool.chunks"
+let stolen_c = Metrics.counter "pool.stolen"
+let inline_c = Metrics.counter "pool.inline"
+let skipped_c = Metrics.counter "pool.skipped"
+let live_g = Metrics.gauge "pool.live_domains"
 
 (* ------------------------------------------------------- chunk execution *)
 
@@ -110,8 +73,7 @@ let run_chunks ~stolen job =
           (* aborting: drain the index without running — but count what we
              skipped, or an aborted batch looks indistinguishable from a
              completed one in the stats *)
-          Atomic.incr skipped_c;
-          if Trace.on () then Trace.add Trace.Tasks_skipped 1
+          Atomic.incr skipped_c
       | None -> (
           try
             if Fault.armed () then
@@ -125,10 +87,7 @@ let run_chunks ~stolen job =
             else job.fn i
           with e -> ignore (Atomic.compare_and_set job.failed None (Some e))));
       Atomic.incr chunks_c;
-      if stolen then begin
-        Atomic.incr stolen_c;
-        if Trace.on () then Trace.add Trace.Chunks_stolen 1
-      end;
+      if stolen then Atomic.incr stolen_c;
       (* last finished chunk releases the submitter's fence *)
       if Atomic.fetch_and_add job.pending (-1) = 1 then begin
         Mutex.lock lock;
@@ -168,7 +127,8 @@ let ensure_helpers n =
          helpers := Domain.spawn (fun () -> worker_loop seen) :: !helpers;
          Atomic.incr spawned_c
        done
-     with _ -> () (* out of domains: proceed with however many we got *))
+     with _ -> () (* out of domains: proceed with however many we got *));
+    Metrics.gauge_set live_g (List.length !helpers)
   end;
   Mutex.unlock lock
 
@@ -194,8 +154,7 @@ let submit ~helper_cap ~chunks fn =
   done;
   slot := Some job;
   incr epoch;
-  Atomic.incr jobs_c;
-  if Trace.on () then Trace.add Trace.Chunks_dispatched chunks;
+  Atomic.incr batches_c;
   Condition.broadcast work_available;
   Mutex.unlock lock;
   (* the submitter is a full participant — with no helpers woken yet it
@@ -228,6 +187,7 @@ let shutdown () =
     List.partition (fun d -> Domain.get_id d <> self) !helpers
   in
   helpers := kept;
+  Metrics.gauge_set live_g (List.length kept);
   if ds <> [] then begin
     shutting_down := true;
     Condition.broadcast work_available
@@ -259,7 +219,6 @@ let sequential = { workers = 1; serial_cutoff = Config.default_serial_cutoff }
 
 let run_inline tasks =
   Atomic.incr inline_c;
-  if Trace.on () then Trace.add Trace.Inline_fallbacks 1;
   Array.iter (fun task -> task ()) tasks
 
 let run_tasks ?points t tasks =
@@ -294,7 +253,6 @@ let parallel_range ?grain t n f =
       || !(Domain.DLS.get in_task)
     then begin
       Atomic.incr inline_c;
-      if Trace.on () then Trace.add Trace.Inline_fallbacks 1;
       if chunks = 1 then f 0 n
       else
         for c = 0 to chunks - 1 do

@@ -78,36 +78,18 @@ val shutdown : unit -> unit
 
 (** {2 Instrumentation}
 
-    [live_domains] is an instantaneous gauge (worker domains currently
-    parked or working); every other field is a session counter covering
-    the window since the last {!reset_stats} — including [spawned], so a
-    report after a reset never mixes lifetime spawns with per-session
-    jobs/chunks.  When tracing is enabled ({!Sf_trace.Trace.on}) the pool
-    additionally mirrors dispatch/steal/inline increments into the trace
-    counters and emits a [chunk] span per executed chunk; when disabled,
-    each instrumentation site costs one atomic load and a branch. *)
+    The pool counts into {!Sf_trace.Metrics} whether or not tracing is on:
+    - [pool.spawned]: worker domains spawned;
+    - [pool.batches]: parallel batches dispatched through the shared slot;
+    - [pool.chunks]: chunks drained by dispatched batches, run or skipped;
+    - [pool.stolen]: chunks drained by helper domains (not the submitter);
+    - [pool.inline]: batches run inline (sequential views, single tasks,
+      nested submissions and below-cutoff waves/ranges);
+    - [pool.skipped]: chunks drained {e without running} because their
+      batch had already failed — the abort path's footprint;
+    - the gauge [pool.live_domains]: worker domains currently alive, which
+      {!Sf_trace.Metrics.reset} leaves as it is.
 
-type stats = {
-  live_domains : int;  (** gauge: worker domains currently alive *)
-  spawned : int;  (** domains spawned since the last {!reset_stats} *)
-  jobs : int;  (** parallel batches dispatched through the shared slot *)
-  chunks : int;  (** total chunks executed by dispatched batches *)
-  stolen : int;  (** chunks executed by helper domains (not the submitter) *)
-  inline_runs : int;
-      (** batches run inline: sequential views, single tasks, nested
-          submissions and below-cutoff waves/ranges *)
-  skipped : int;
-      (** chunks drained {e without running} because their batch had
-          already failed — the abort path's footprint.  Mirrored into the
-          [Tasks_skipped] trace counter when tracing is on, so an aborted
-          batch is distinguishable from a completed one. *)
-}
-
-val stats : unit -> stats
-
-val reset_stats : unit -> unit
-(** Zero every session counter ([spawned], [jobs], [chunks], [stolen],
-    [inline_runs], [skipped]).  [live_domains] is unaffected: helpers stay
-    parked. *)
-
-val pp_stats : Format.formatter -> stats -> unit
+    When tracing is enabled ({!Sf_trace.Trace.on}) each executed chunk is
+    also a [chunk] span; when disabled that site costs one atomic load and
+    a branch. *)

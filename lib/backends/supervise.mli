@@ -10,7 +10,8 @@
     the same group on the next backend of {!chain} and replay the
     invocation there; after every successful run the group's output grids
     are guard-scanned so NaN/Inf corruption fails over too.  Every
-    retry/failover is a trace counter increment and span marker. *)
+    retry/failover is a counter increment ([supervisor.retries] /
+    [supervisor.failovers]) and, when tracing is on, a span marker. *)
 
 open Sf_util
 open Snowflake

@@ -7,6 +7,10 @@ module Jit = Sf_backends.Jit
 module Pool = Sf_backends.Pool
 module Trace = Sf_trace.Trace
 
+(* counted only while tracing *)
+let sends = Sf_trace.Metrics.counter "pipeline.sends"
+let stalls = Sf_trace.Metrics.counter "pipeline.stalls"
+
 (* One bounded FIFO of halo planes.  [head]/[tail] are monotone message
    counters (not wrapped): slot of message m is [m mod depth].  Within a
    scheduler batch at most one task sends on a ring and at most one
@@ -158,7 +162,7 @@ let send ring =
   let slot = ring.slots.(ring.tail mod Array.length ring.slots) in
   Array.iteri (fun k p -> slot.(k) <- Mesh.get ring.src_mesh p) ring.src_cells;
   ring.tail <- ring.tail + 1;
-  if Trace.on () then Trace.add Trace.Channel_sends 1
+  if Trace.on () then Atomic.incr sends
 
 let recv ring =
   let slot = ring.slots.(ring.head mod Array.length ring.slots) in
@@ -212,7 +216,7 @@ let run ?(sweeps = 1) t =
              exactly this scheduler's blocking discipline *)
           failwith ("Pipeline.run: stalled pipeline in " ^ t.label)
       | batch ->
-          if !stalled && Trace.on () then Trace.add Trace.Channel_stalls 1;
+          if !stalled && Trace.on () then Atomic.incr stalls;
           let tasks =
             List.map
               (fun (_ri, _w, _st, n) () ->

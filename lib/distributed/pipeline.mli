@@ -61,7 +61,7 @@ val run : ?sweeps:int -> t -> unit
     raises [Sf_backends.Jit.Certification_failed] with SF034 diagnostics
     on any disagreement; then primes the delay>0 channels from the current
     grid state and drives the greedy scheduler to completion.  Channel
-    traffic is visible as [Channel_sends]/[Channel_stalls] trace counters
+    traffic is visible as the [pipeline.sends]/[pipeline.stalls] counters
     and a ["pipeline:<label>"] span when tracing is on. *)
 
 val inject_undersize : t -> unit

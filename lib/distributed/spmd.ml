@@ -6,6 +6,9 @@ open Sf_hpgmg
 module Fault = Sf_resilience.Fault
 module Supervisor = Sf_resilience.Supervisor
 
+(* counted only while tracing, beside the recover span *)
+let recoveries = Sf_trace.Metrics.counter "spmd.rank_recoveries"
+
 type t = {
   dims : int;
   rank_grid : Ivec.t;
@@ -397,7 +400,7 @@ let recover ?(sweeps = 4) t =
          alive neighbours' halo-adjacent planes *)
       reconstruct_u t r;
       if Trace.on () then begin
-        Trace.add Trace.Rank_recoveries 1;
+        Atomic.incr recoveries;
         Trace.record_span
           ~args:[ ("rank", Trace.Str (rank_key r)) ]
           Trace.Phase

@@ -113,5 +113,5 @@ val recover : ?sweeps:int -> t -> int
     owned planes (0 at physical boundaries); then [sweeps] (default 4)
     GSRB sweeps over just the recovered ranks — with full-width exchanges
     — smooth the reconstruction back into the global solution.  Each
-    recovery is a [Rank_recoveries] counter increment and a
+    recovery is a [spmd.rank_recoveries] counter increment and a
     ["recover:<rank>"] span when tracing is on. *)

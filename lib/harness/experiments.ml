@@ -192,15 +192,12 @@ let run_fig7 opts =
 (* Runtime-orchestration telemetry: how many waves went through the
    persistent pool vs inline (serial cutoff), printed by the experiments
    whose numbers depend on dispatch overhead. *)
-let report_pool_stats () =
-  Printf.printf "pool: %s\n"
-    (Format.asprintf "%a" Pool.pp_stats (Pool.stats ()));
-  if Sf_trace.Trace.on () then
-    Printf.printf "trace: %s\n" (Sf_trace.Report.counters_line ())
+let report_counters () =
+  Printf.printf "counters: %s\n" (Sf_trace.Report.counters_line ())
 
 let run_fig8 opts =
   heading "E3 / Fig 8: VC GSRB smoother time vs problem size";
-  Pool.reset_stats ();
+  Sf_trace.Metrics.reset ();
   let host = Lazy.force host_machine in
   let omp_cfg = Config.with_workers opts.workers Config.default in
   let t =
@@ -245,7 +242,7 @@ let run_fig8 opts =
         ])
     opts.sizes;
   emit_table "fig8" t;
-  report_pool_stats ();
+  report_counters ();
   Printf.printf
     "Small sizes can beat the DRAM roofline because they fit in cache \
      (paper notes the same for 32^3).\n"
@@ -347,7 +344,7 @@ let run_fig9 opts =
 let run_tiling opts =
   let n = opts.size in
   heading (Printf.sprintf "A1: OpenMP tile-size sweep, VC GSRB at %d^3" n);
-  Pool.reset_stats ();
+  Sf_trace.Metrics.reset ();
   let level = prepared_level n in
   let t = Tabular.create ~headers:[ "tile"; "time"; "stencils/s" ] in
   let points = float_of_int (n * n * n) in
@@ -371,7 +368,7 @@ let run_tiling opts =
       ("2x2x2", Some [ 2; 2; 2 ]);
     ];
   emit_table "tiling" t;
-  report_pool_stats ()
+  report_counters ()
 
 let run_multicolor opts =
   let n = opts.size in
@@ -684,7 +681,7 @@ let run_pool opts =
   done;
   let rows = List.rev !rows in
   emit_table "pool" t;
-  report_pool_stats ();
+  report_counters ();
   (* persist the dispatch-overhead trajectory for the perf history *)
   let headline =
     List.fold_left

@@ -113,20 +113,22 @@ let active_backend t = t.active_backend
 (* Demote the active backend one step down the failover chain; false when
    already at the chain's end.  Distinct from Supervise's per-invocation
    failover: a demotion is sticky — every later kernel compiles against
-   the weaker backend — which is what rollback re-runs want. *)
+   the weaker backend — which is what rollback re-runs want.  It is
+   therefore counted apart from [supervisor.failovers], tracing or not. *)
+let demotions = Sf_trace.Metrics.counter "mg.demotions"
+
 let demote_backend t =
   match Supervise.chain t.active_backend with
   | _ :: next :: _ ->
       let from = Jit.backend_name t.active_backend in
       t.active_backend <- next;
-      if Trace.on () then begin
-        Trace.add Trace.Failovers 1;
+      Atomic.incr demotions;
+      if Trace.on () then
         Trace.record_span
           ~args:
             [ ("from", Trace.Str from);
               ("to", Trace.Str (Jit.backend_name next)) ]
-          Trace.Phase "failover:mg" ~ts_us:(Trace.now_us ()) ~dur_us:0.
-      end;
+          Trace.Phase "failover:mg" ~ts_us:(Trace.now_us ()) ~dur_us:0.;
       true
   | _ -> false
 

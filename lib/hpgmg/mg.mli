@@ -98,8 +98,9 @@ val active_backend : t -> Jit.backend
 val demote_backend : t -> bool
 (** Demote the active backend one step down [Supervise.chain] (every later
     kernel compiles against the weaker backend); [false] when already at
-    the end of the chain.  Recorded as a [Failovers] counter increment and
-    a ["failover:mg"] span when tracing is on. *)
+    the end of the chain.  Counted as [mg.demotions] (never as
+    [supervisor.failovers]) whether or not tracing is on, and marked by a
+    ["failover:mg"] span when it is. *)
 
 val solve_resilient :
   ?cycles:int ->
@@ -121,9 +122,9 @@ val solve_resilient :
     re-raised.  The finest solution mesh is the {e entire} rollback state:
     a V-cycle recomputes all coarser state and never writes the finest f
     or dinv.  With no faults armed and guards off this is {!solve} plus
-    one mesh copy per checkpoint.  Every rollback/failover appears in the
-    trace ([Rollbacks]/[Failovers] counters, ["rollback:mg"] /
-    ["failover:mg"] markers). *)
+    one mesh copy per checkpoint.  Every rollback and backend demotion is
+    counted ([checkpoint.rollbacks], [mg.demotions]) and, when tracing is
+    on, marked (["rollback:mg"] / ["failover:mg"]). *)
 
 val dof : t -> int
 (** Unknowns on the finest level. *)

@@ -21,9 +21,7 @@ type 'a t = {
   mutable rollbacks : int;
 }
 
-let rollbacks_c = Atomic.make 0
-let rollbacks_total () = Atomic.get rollbacks_c
-let reset_counts () = Atomic.set rollbacks_c 0
+let rollbacks_c = Sf_trace.Metrics.counter "checkpoint.rollbacks"
 
 let create ?(capacity = 3) ?(label = "ckpt") ~alloc ~save ~restore () =
   if capacity < 1 then invalid_arg "Checkpoint.create: capacity < 1";
@@ -69,10 +67,7 @@ let rollback t =
       t.restore buf;
       t.rollbacks <- t.rollbacks + 1;
       Atomic.incr rollbacks_c;
-      if Trace.on () then begin
-        Trace.add Trace.Rollbacks 1;
-        marker t "rollback" ~tag
-      end;
+      if Trace.on () then marker t "rollback" ~tag;
       Some tag
 
 let discard_latest t =

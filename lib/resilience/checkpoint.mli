@@ -6,8 +6,9 @@
     oldest snapshot in place — a checkpoint never allocates after the ring
     is warm.
 
-    Every rollback bumps the [Rollbacks] trace counter and records a
-    zero-duration ["rollback:<label>"] phase marker, so [--profile] shows
+    Every rollback bumps the [checkpoint.rollbacks] counter and, when
+    tracing is on, records a zero-duration ["rollback:<label>"] phase
+    marker, so [--profile] shows
     when and how often a run rewound. *)
 
 type 'a t
@@ -49,8 +50,3 @@ val taken : 'a t -> int
 val rollbacks : 'a t -> int
 (** Rollbacks performed on this ring. *)
 
-val rollbacks_total : unit -> int
-(** Process-wide rollbacks since the last {!reset_counts} (counted even
-    with tracing off). *)
-
-val reset_counts : unit -> unit

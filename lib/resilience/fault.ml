@@ -184,7 +184,7 @@ let to_string clauses = String.concat "," (List.map clause_to_string clauses)
 
 let armed_flag = Atomic.make false
 let clauses : clause list Atomic.t = Atomic.make []
-let injected_c = Atomic.make 0
+let injected_c = Sf_trace.Metrics.counter "fault.injected"
 
 let armed () = Atomic.get armed_flag
 
@@ -211,9 +211,6 @@ let () =
   match Sys.getenv_opt "SF_FAULTS" with
   | Some s when String.trim s <> "" -> arm_exn s
   | _ -> ()
-
-let injected_total () = Atomic.get injected_c
-let reset_counts () = Atomic.set injected_c 0
 
 (* ------------------------------------------------------------ triggering *)
 
@@ -250,8 +247,7 @@ let contains ~sub s =
 
 let note_injection c ~site ~detail =
   Atomic.incr injected_c;
-  if Trace.on () then begin
-    Trace.add Trace.Faults_injected 1;
+  if Trace.on () then
     Trace.record_span
       ~args:
         [
@@ -261,7 +257,6 @@ let note_injection c ~site ~detail =
       Trace.Phase
       ("fault:" ^ site ^ ":" ^ kind_name c.kind)
       ~ts_us:(Trace.now_us ()) ~dur_us:0.
-  end
 
 let check ~site ~detail =
   if not (Atomic.get armed_flag) then None

@@ -91,8 +91,8 @@ val spec : unit -> string
 val check : site:string -> detail:string -> kind option
 (** Consult the armed clauses for [site]: each matching clause counts one
     occurrence and fires per its triggers and budget.  Firing bumps the
-    [Faults_injected] trace counter and records a zero-duration
-    ["fault:<site>:<kind>"] phase marker (when tracing is on).  Returns the
+    [fault.injected] counter and, when tracing is on, records a
+    zero-duration ["fault:<site>:<kind>"] phase marker.  Returns the
     kind the caller must act on; [None] when nothing fires. *)
 
 val fire : site:string -> detail:string -> kind option
@@ -100,8 +100,3 @@ val fire : site:string -> detail:string -> kind option
     before returning.  Poison/kill kinds are returned for the caller to
     apply — only the site knows which meshes to corrupt. *)
 
-val injected_total : unit -> int
-(** Faults injected since the last {!reset_counts} (process-wide, counted
-    even with tracing off). *)
-
-val reset_counts : unit -> unit

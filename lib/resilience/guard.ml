@@ -64,18 +64,14 @@ let effective () =
 
 let active () = effective () <> Off
 
-let trips_c = Atomic.make 0
-let trips_total () = Atomic.get trips_c
-let reset_counts () = Atomic.set trips_c 0
+let trips_c = Sf_trace.Metrics.counter "guard.trips"
 
 let trip ~name i v =
   Atomic.incr trips_c;
-  if Trace.on () then begin
-    Trace.add Trace.Guard_trips 1;
+  if Trace.on () then
     Trace.record_span
       ~args:[ ("grid", Trace.Str name); ("index", Trace.Int i) ]
-      Trace.Phase ("guard:" ^ name) ~ts_us:(Trace.now_us ()) ~dur_us:0.
-  end;
+      Trace.Phase ("guard:" ^ name) ~ts_us:(Trace.now_us ()) ~dur_us:0.;
   raise (Tripped { grid = name; index = i; value = v })
 
 let target_samples = 1024

@@ -18,7 +18,7 @@ val mode_name : mode -> string
 val mode_of_string : string -> mode option
 
 exception Tripped of { grid : string; index : int; value : float }
-(** Raised when a scan finds a non-finite value; a [Guard_trips] trace
+(** Raised when a scan finds a non-finite value; a [guard.trips]
     counter increment and a zero-duration ["guard:<grid>"] phase marker
     record the detection. *)
 
@@ -42,8 +42,3 @@ val scan_grids : ?mode:mode -> Grids.t -> string list -> unit
 (** Scan the named grids (missing names are skipped — DCE may have removed
     an output). *)
 
-val trips_total : unit -> int
-(** Trips since the last {!reset_counts} (counted even with tracing
-    off). *)
-
-val reset_counts : unit -> unit

@@ -15,14 +15,8 @@ type policy = {
 let default_policy =
   { retries = 2; backoff_us = 200.; backoff_factor = 4.; max_backoff_us = 20_000. }
 
-let retries_c = Atomic.make 0
-let failovers_c = Atomic.make 0
-let retries_total () = Atomic.get retries_c
-let failovers_total () = Atomic.get failovers_c
-
-let reset_counts () =
-  Atomic.set retries_c 0;
-  Atomic.set failovers_c 0
+let retries_c = Sf_trace.Metrics.counter "supervisor.retries"
+let failovers_c = Sf_trace.Metrics.counter "supervisor.failovers"
 
 (* Runtime-state corruption must not be absorbed by the failover chain. *)
 let fatal = function
@@ -34,8 +28,7 @@ let marker ~args name =
 
 let note_retry ~name ~attempt ~n e =
   Atomic.incr retries_c;
-  if Trace.on () then begin
-    Trace.add Trace.Retries 1;
+  if Trace.on () then
     marker
       ~args:
         [
@@ -44,12 +37,10 @@ let note_retry ~name ~attempt ~n e =
           ("error", Trace.Str (Printexc.to_string e));
         ]
       ("retry:" ^ name)
-  end
 
 let note_failover ~name ~from ~to_ e =
   Atomic.incr failovers_c;
-  if Trace.on () then begin
-    Trace.add Trace.Failovers 1;
+  if Trace.on () then
     marker
       ~args:
         [
@@ -58,7 +49,6 @@ let note_failover ~name ~from ~to_ e =
           ("error", Trace.Str (Printexc.to_string e));
         ]
       ("failover:" ^ name)
-  end
 
 (* ------------------------------------------ per-request failure boundary *)
 

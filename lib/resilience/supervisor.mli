@@ -9,10 +9,11 @@
     chain is spent.  [Out_of_memory], [Stack_overflow] and
     [Assert_failure] are never absorbed.
 
-    Every decision is observable: a retry bumps the [Retries] trace
-    counter and records a zero-duration ["retry:<name>"] phase marker; a
-    failover bumps [Failovers] and records ["failover:<name>"] with
-    from/to arguments — so [--profile] shows exactly how a degraded run
+    Every decision is observable: a retry bumps the [supervisor.retries]
+    counter and, when tracing is on, records a zero-duration
+    ["retry:<name>"] phase marker; a failover bumps
+    [supervisor.failovers] and records ["failover:<name>"] with from/to
+    arguments — so [--profile] shows exactly how a degraded run
     degraded.  The Jit-specific chain (recompiling a stencil group on the
     next backend) is assembled by [Sf_backends.Supervise]. *)
 
@@ -31,12 +32,6 @@ val run : ?policy:policy -> name:string -> (string * (unit -> 'a)) list -> 'a
     chain.  Raises [Invalid_argument] on an empty chain; otherwise returns
     the first successful thunk's value or re-raises the last failure. *)
 
-val retries_total : unit -> int
-(** Retries since the last {!reset_counts} (counted even with tracing
-    off). *)
-
-val failovers_total : unit -> int
-val reset_counts : unit -> unit
 
 (** {2 Per-request failure boundary}
 

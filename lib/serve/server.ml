@@ -18,7 +18,7 @@ module Supervisor = Sf_resilience.Supervisor
 module Gen = Sf_fuzz.Gen
 module Corpus = Sf_fuzz.Corpus
 module Trace = Sf_trace.Trace
-module Slo = Sf_trace.Slo
+module Metrics = Sf_trace.Metrics
 module Json = Sf_trace.Json
 module P = Protocol
 
@@ -94,9 +94,9 @@ type t = {
   mutable executors : Thread.t list;
   started_us : float;
   (* --- SLO instruments --- *)
-  lat_series : Slo.series; (* admission -> reply ready, µs *)
-  solve_series : Slo.series; (* kernel run only, µs *)
-  depth_gauge : Slo.gauge;
+  lat_series : Metrics.series; (* admission -> reply ready, µs *)
+  solve_series : Metrics.series; (* kernel run only, µs *)
+  depth_gauge : Metrics.gauge;
 }
 
 let config t = t.cfg
@@ -242,8 +242,12 @@ let solve t job =
             ~shape:spec.Gen.shape spec.Gen.group)
   in
   let grids = Gen.build_grids spec in
-  Slo.time t.solve_series (fun () ->
-      kernel.Sf_backends.Kernel.run ~params:spec.Gen.params grids);
+  let t0 = Trace.now_us () in
+  Fun.protect
+    ~finally:(fun () -> Metrics.observe t.solve_series (Trace.now_us () -. t0))
+    (fun () ->
+      Trace.span Trace.Phase "serve.solve_us" (fun () ->
+          kernel.Sf_backends.Kernel.run ~params:spec.Gen.params grids));
   Guard.scan_grids ~mode:Guard.Sample grids (Sf_mesh.Grids.names grids);
   grids
 
@@ -270,7 +274,7 @@ let execute t job =
 let run_job t job =
   let outcome = execute t job in
   let elapsed = Trace.now_us () -. job.enqueued_us in
-  Slo.observe t.lat_series elapsed;
+  Metrics.observe t.lat_series elapsed;
   Session.finish job.session;
   let reply =
     match outcome with
@@ -322,7 +326,7 @@ let release_tickets t tickets =
                     Queue.clear q;
                     List.iter (fun j -> Queue.push j q) (List.rev keep));
                 t.queued <- t.queued - 1;
-                Slo.gauge_set t.depth_gauge t.queued;
+                Metrics.gauge_set t.depth_gauge t.queued;
                 Session.finish job.session;
                 Hashtbl.remove t.tickets ticket)
           tickets)
@@ -349,7 +353,7 @@ let executor t () =
           loop ()
       | Some job ->
           t.queued <- t.queued - 1;
-          Slo.gauge_set t.depth_gauge t.queued;
+          Metrics.gauge_set t.depth_gauge t.queued;
           Hashtbl.replace t.tickets job.ticket (Running job);
           Mutex.unlock t.sched;
           run_job t job;
@@ -390,9 +394,9 @@ let create ?(config = default_config) () =
       n_coalesced = 0;
       executors = [];
       started_us = Trace.now_us ();
-      lat_series = Slo.series "serve.request_us";
-      solve_series = Slo.series "serve.solve_us";
-      depth_gauge = Slo.gauge "serve.queue_depth";
+      lat_series = Metrics.series "serve.request_us";
+      solve_series = Metrics.series "serve.solve_us";
+      depth_gauge = Metrics.gauge "serve.queue_depth";
     }
   in
   let n = max 1 config.threads in
@@ -424,7 +428,7 @@ let stop t =
             Queue.clear q)
           t.queues;
         t.queued <- 0;
-        Slo.gauge_set t.depth_gauge 0;
+        Metrics.gauge_set t.depth_gauge 0;
         Condition.broadcast t.work;
         Condition.broadcast t.compile_done;
         let fd = t.listen_fd in
@@ -530,7 +534,7 @@ let handle_submit t session (s : P.submit) =
                           in
                           Queue.push job q;
                           t.queued <- t.queued + 1;
-                          Slo.gauge_set t.depth_gauge t.queued;
+                          Metrics.gauge_set t.depth_gauge t.queued;
                           Hashtbl.replace t.tickets ticket (Queued job);
                           Condition.signal t.work;
                           P.Accepted { ticket })))
@@ -559,7 +563,11 @@ let handle_poll t tenant ticket =
 
 let stats_json t =
   let num i = Json.Num (float_of_int i) in
-  let hits, misses = Jit.cache_stats () in
+  let snap = Metrics.snapshot () in
+  let count name =
+    Option.value ~default:0 (List.assoc_opt name snap.Metrics.counters)
+  in
+  let hits = count "jit.hits" and misses = count "jit.misses" in
   let hit_rate =
     if hits + misses = 0 then 0.
     else float_of_int hits /. float_of_int (hits + misses)
@@ -570,18 +578,18 @@ let stats_json t =
   in
   let series =
     List.map
-      (fun (s : Slo.summary) ->
+      (fun (s : Metrics.summary) ->
         Json.Obj
           [
-            ("name", Json.Str s.Slo.sname);
-            ("n", num s.Slo.n);
-            ("p50_us", Json.Num s.Slo.p50);
-            ("p90_us", Json.Num s.Slo.p90);
-            ("p99_us", Json.Num s.Slo.p99);
-            ("max_us", Json.Num s.Slo.smax);
-            ("mean_us", Json.Num s.Slo.smean);
+            ("name", Json.Str s.Metrics.sname);
+            ("n", num s.Metrics.n);
+            ("p50_us", Json.Num s.Metrics.p50);
+            ("p90_us", Json.Num s.Metrics.p90);
+            ("p99_us", Json.Num s.Metrics.p99);
+            ("max_us", Json.Num s.Metrics.smax);
+            ("mean_us", Json.Num s.Metrics.smean);
           ])
-      (Slo.all ())
+      snap.Metrics.series
   in
   let tenants =
     List.map
@@ -613,14 +621,26 @@ let stats_json t =
                ("misses", num misses);
                ("hit_rate", Json.Num hit_rate);
              ] );
-         ("native", Json.Obj (Trace.native_json (Trace.counters ())));
+         ( "native",
+           Json.Obj
+             (List.filter_map
+                (fun (k, v) ->
+                  if String.starts_with ~prefix:"native." k then Some (k, num v)
+                  else None)
+                snap.Metrics.counters) );
          ( "queue",
            Json.Obj
              [
                ("depth", num depth);
-               ("hwm", num (Slo.gauge_hwm t.depth_gauge));
+               ( "hwm",
+                 num
+                   (match List.assoc_opt "serve.queue_depth" snap.Metrics.gauges
+                    with
+                   | Some g -> g.Metrics.hwm
+                   | None -> 0) );
                ("tickets", num tickets);
              ] );
+         ("counters", Metrics.counters_json snap);
          ("series", Json.Arr series);
          ("tenants", Json.Arr tenants);
        ])

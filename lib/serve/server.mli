@@ -16,8 +16,9 @@
     waits for in-flight clean solves to drain, and clean solves wait for
     the disarm — isolation by scheduling, pinned by the [@serve] tests.
 
-    Latency, queue depth and coalescing feed [Sf_trace.Slo]; STATS
-    renders them (plus [Jit.cache_stats] and per-tenant counters) as one
+    Latency and queue depth feed [Sf_trace.Metrics]; STATS renders one
+    snapshot of that registry (every counter, the [jit]/[native]/[queue]
+    views derived from it, the series) plus per-tenant counters as one
     JSON document. *)
 
 type config = {

@@ -61,67 +61,14 @@ let summary_table ?machine () =
     (Trace.summary ());
   Tabular.render t
 
+(* The one rendering rule: zero-valued counters are omitted, so a clean
+   profile never grows resilience, tuning or native segments. *)
 let counters_line () =
-  let c = Trace.counters () in
-  let base =
-    Printf.sprintf
-      "%d cell(s) updated; %d chunk(s) dispatched (%d stolen), %d inline \
-       fallback(s); jit cache %d hit(s) / %d miss(es)"
-      c.Trace.cells_updated c.Trace.chunks_dispatched c.Trace.chunks_stolen
-      c.Trace.inline_fallbacks c.Trace.cache_hits c.Trace.cache_misses
-  in
-  (* The resilience line only appears when something resilience-related
-     actually happened — clean profiles stay byte-identical to before. *)
-  if
-    c.Trace.faults_injected + c.Trace.retries + c.Trace.failovers
-    + c.Trace.rollbacks + c.Trace.guard_trips + c.Trace.tasks_skipped
-    + c.Trace.rank_recoveries
-    > 0
-  then
-    base
-    ^ Printf.sprintf
-        "; resilience: %d fault(s) injected, %d retry(ies), %d failover(s), \
-         %d rollback(s), %d guard trip(s), %d task(s) skipped, %d rank \
-         recovery(ies)"
-        c.Trace.faults_injected c.Trace.retries c.Trace.failovers
-        c.Trace.rollbacks c.Trace.guard_trips c.Trace.tasks_skipped
-        c.Trace.rank_recoveries
-  else base
-
-let counters_line () =
-  let c = Trace.counters () in
-  let base = counters_line () in
-  (* like the resilience segment: only sessions that consulted the tuning
-     DB grow the extra segment *)
-  if c.Trace.tune_db_hits + c.Trace.tune_db_misses > 0 then
-    base
-    ^ Printf.sprintf "; tuning db %d hit(s) / %d miss(es)"
-        c.Trace.tune_db_hits c.Trace.tune_db_misses
-  else base
-
-let counters_line () =
-  let c = Trace.counters () in
-  let base = counters_line () in
-  (* only pipelined-Spmd sessions grow the channel segment *)
-  if c.Trace.channel_sends + c.Trace.channel_stalls > 0 then
-    base
-    ^ Printf.sprintf "; pipeline %d plane send(s) / %d stall(s)"
-        c.Trace.channel_sends c.Trace.channel_stalls
-  else base
-
-let counters_line () =
-  let c = Trace.counters () in
-  let base = counters_line () in
-  (* only sessions that met a polynomial stencil grow the native segment *)
-  if c.Trace.native_structures + c.Trace.native_failures > 0 then
-    base
-    ^ Printf.sprintf
-        "; native %d structure(s), %d promotion(s), %d compile(s) (%d ms), \
-         %d disk hit(s), %d failure(s)"
-        c.Trace.native_structures c.Trace.native_promotions
-        c.Trace.native_compiles c.Trace.native_compile_ms
-        c.Trace.native_disk_hits c.Trace.native_failures
-  else base
+  match List.filter (fun (_, v) -> v <> 0) (Metrics.snapshot ()).counters with
+  | [] -> "none"
+  | cs ->
+      String.concat " "
+        (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) cs)
 
 let print_summary ?machine () =
   print_string (summary_table ?machine ());

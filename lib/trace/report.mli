@@ -19,4 +19,6 @@ val print_summary : ?machine:Sf_roofline.Machine.t -> unit -> unit
     events were discarded, a dropped-span warning. *)
 
 val counters_line : unit -> string
-(** One-line human rendering of {!Trace.counters}. *)
+(** One-line rendering of the {!Metrics} snapshot's counters as
+    [name=value] pairs in name order, omitting every zero-valued counter
+    (["none"] when all are zero). *)

@@ -44,138 +44,6 @@ let with_enabled b f =
 let epoch = Unix.gettimeofday ()
 let now_us () = (Unix.gettimeofday () -. epoch) *. 1e6
 
-(* ------------------------------------------------------------- counters *)
-
-type counter =
-  | Cells_updated
-  | Chunks_dispatched
-  | Chunks_stolen
-  | Inline_fallbacks
-  | Cache_hits
-  | Cache_misses
-  | Faults_injected
-  | Retries
-  | Failovers
-  | Rollbacks
-  | Guard_trips
-  | Tasks_skipped
-  | Rank_recoveries
-  | Tune_db_hits
-  | Tune_db_misses
-  | Channel_sends
-  | Channel_stalls
-  | Native_promotions
-  | Native_compiles
-  | Native_compile_ms
-  | Native_disk_hits
-  | Native_failures
-  | Native_structures
-
-let cells_c = Atomic.make 0
-let chunks_c = Atomic.make 0
-let stolen_c = Atomic.make 0
-let inline_c = Atomic.make 0
-let hits_c = Atomic.make 0
-let misses_c = Atomic.make 0
-let faults_c = Atomic.make 0
-let retries_c = Atomic.make 0
-let failovers_c = Atomic.make 0
-let rollbacks_c = Atomic.make 0
-let guard_trips_c = Atomic.make 0
-let skipped_c = Atomic.make 0
-let recoveries_c = Atomic.make 0
-let tune_hits_c = Atomic.make 0
-let tune_misses_c = Atomic.make 0
-let chan_sends_c = Atomic.make 0
-let chan_stalls_c = Atomic.make 0
-let native_promotions_c = Atomic.make 0
-let native_compiles_c = Atomic.make 0
-let native_compile_ms_c = Atomic.make 0
-let native_disk_hits_c = Atomic.make 0
-let native_failures_c = Atomic.make 0
-let native_structures_c = Atomic.make 0
-
-let cell_of = function
-  | Cells_updated -> cells_c
-  | Chunks_dispatched -> chunks_c
-  | Chunks_stolen -> stolen_c
-  | Inline_fallbacks -> inline_c
-  | Cache_hits -> hits_c
-  | Cache_misses -> misses_c
-  | Faults_injected -> faults_c
-  | Retries -> retries_c
-  | Failovers -> failovers_c
-  | Rollbacks -> rollbacks_c
-  | Guard_trips -> guard_trips_c
-  | Tasks_skipped -> skipped_c
-  | Rank_recoveries -> recoveries_c
-  | Tune_db_hits -> tune_hits_c
-  | Tune_db_misses -> tune_misses_c
-  | Channel_sends -> chan_sends_c
-  | Channel_stalls -> chan_stalls_c
-  | Native_promotions -> native_promotions_c
-  | Native_compiles -> native_compiles_c
-  | Native_compile_ms -> native_compile_ms_c
-  | Native_disk_hits -> native_disk_hits_c
-  | Native_failures -> native_failures_c
-  | Native_structures -> native_structures_c
-
-let add c n = if on () then ignore (Atomic.fetch_and_add (cell_of c) n)
-let note c n = ignore (Atomic.fetch_and_add (cell_of c) n)
-
-type counters = {
-  cells_updated : int;
-  chunks_dispatched : int;
-  chunks_stolen : int;
-  inline_fallbacks : int;
-  cache_hits : int;
-  cache_misses : int;
-  faults_injected : int;
-  retries : int;
-  failovers : int;
-  rollbacks : int;
-  guard_trips : int;
-  tasks_skipped : int;
-  rank_recoveries : int;
-  tune_db_hits : int;
-  tune_db_misses : int;
-  channel_sends : int;
-  channel_stalls : int;
-  native_promotions : int;
-  native_compiles : int;
-  native_compile_ms : int;
-  native_disk_hits : int;
-  native_failures : int;
-  native_structures : int;
-}
-
-let counters () =
-  {
-    cells_updated = Atomic.get cells_c;
-    chunks_dispatched = Atomic.get chunks_c;
-    chunks_stolen = Atomic.get stolen_c;
-    inline_fallbacks = Atomic.get inline_c;
-    cache_hits = Atomic.get hits_c;
-    cache_misses = Atomic.get misses_c;
-    faults_injected = Atomic.get faults_c;
-    retries = Atomic.get retries_c;
-    failovers = Atomic.get failovers_c;
-    rollbacks = Atomic.get rollbacks_c;
-    guard_trips = Atomic.get guard_trips_c;
-    tasks_skipped = Atomic.get skipped_c;
-    rank_recoveries = Atomic.get recoveries_c;
-    tune_db_hits = Atomic.get tune_hits_c;
-    tune_db_misses = Atomic.get tune_misses_c;
-    channel_sends = Atomic.get chan_sends_c;
-    channel_stalls = Atomic.get chan_stalls_c;
-    native_promotions = Atomic.get native_promotions_c;
-    native_compiles = Atomic.get native_compiles_c;
-    native_compile_ms = Atomic.get native_compile_ms_c;
-    native_disk_hits = Atomic.get native_disk_hits_c;
-    native_failures = Atomic.get native_failures_c;
-    native_structures = Atomic.get native_structures_c;
-  }
-
 (* -------------------------------------------------------- roofline join *)
 
 (* bits-of-float in an Atomic: settable from any domain without a lock *)
@@ -254,16 +122,7 @@ let clear () =
   events_rev := [];
   n_events := 0;
   dropped_c := 0;
-  Mutex.unlock mu;
-  List.iter
-    (fun c -> Atomic.set c 0)
-    [
-      cells_c; chunks_c; stolen_c; inline_c; hits_c; misses_c; faults_c;
-      retries_c; failovers_c; rollbacks_c; guard_trips_c; skipped_c;
-      recoveries_c; tune_hits_c; tune_misses_c; chan_sends_c; chan_stalls_c;
-      native_promotions_c; native_compiles_c; native_compile_ms_c;
-      native_disk_hits_c; native_failures_c; native_structures_c;
-    ]
+  Mutex.unlock mu
 
 (* ---------------------------------------------------------- aggregation *)
 
@@ -337,24 +196,9 @@ let json_of_event ev =
       ("args", Json.Obj (List.map (fun (k, v) -> (k, json_of_arg v)) ev.args));
     ]
 
-(* The native-tier counters under their metric names, as the Chrome
-   counter event and sfserved STATS show them. *)
-let native_json c =
-  List.map
-    (fun (k, v) -> (k, Json.Num (float_of_int v)))
-    [
-      ("native.promotions", c.native_promotions);
-      ("native.compiles", c.native_compiles);
-      ("native.compile_ms", c.native_compile_ms);
-      ("native.disk_hits", c.native_disk_hits);
-      ("native.failures", c.native_failures);
-      ("native.structures", c.native_structures);
-    ]
-
 (* stamped at the end of the last recorded span, not at export time, so
    exporting the same trace twice yields byte-identical documents *)
 let counter_event ~ts =
-  let c = counters () in
   Json.Obj
     [
       ("name", Json.Str "sf_counters");
@@ -363,28 +207,7 @@ let counter_event ~ts =
       ("ts", Json.Num ts);
       ("pid", Json.Num 1.);
       ("tid", Json.Num 0.);
-      ( "args",
-        Json.Obj
-          ([
-            ("cells_updated", Json.Num (float_of_int c.cells_updated));
-            ("chunks_dispatched", Json.Num (float_of_int c.chunks_dispatched));
-            ("chunks_stolen", Json.Num (float_of_int c.chunks_stolen));
-            ("inline_fallbacks", Json.Num (float_of_int c.inline_fallbacks));
-            ("cache_hits", Json.Num (float_of_int c.cache_hits));
-            ("cache_misses", Json.Num (float_of_int c.cache_misses));
-            ("faults_injected", Json.Num (float_of_int c.faults_injected));
-            ("retries", Json.Num (float_of_int c.retries));
-            ("failovers", Json.Num (float_of_int c.failovers));
-            ("rollbacks", Json.Num (float_of_int c.rollbacks));
-            ("guard_trips", Json.Num (float_of_int c.guard_trips));
-            ("tasks_skipped", Json.Num (float_of_int c.tasks_skipped));
-            ("rank_recoveries", Json.Num (float_of_int c.rank_recoveries));
-            ("tune_db_hits", Json.Num (float_of_int c.tune_db_hits));
-            ("tune_db_misses", Json.Num (float_of_int c.tune_db_misses));
-            ("channel_sends", Json.Num (float_of_int c.channel_sends));
-            ("channel_stalls", Json.Num (float_of_int c.channel_stalls));
-          ]
-          @ native_json c) );
+      ("args", Metrics.counters_json (Metrics.snapshot ()));
     ]
 
 let to_chrome_json () =

@@ -1,10 +1,11 @@
-(** sf_trace: a structured tracing and metrics substrate.
+(** sf_trace: structured tracing — the span half of the substrate
+    ({!Metrics} holds the counters, gauges and series).
 
     The paper evaluates Snowflake by profiling every (operation, level)
     pair of an HPGMG solve and comparing it against machine limits.  This
     module makes that accounting a property of the runtime rather than of
     hand-inserted timers: the JIT, the backend executors, the domain pool,
-    [Spmd] and [Mg] all report spans and counters here, so every kernel
+    [Spmd] and [Mg] all report spans here, so every kernel
     invocation is attributed to its stencil group, wave and backend without
     user code changes.
 
@@ -84,74 +85,6 @@ val record_span :
     duration — the fraction of the STREAM-predicted peak the invocation
     achieved. *)
 
-(** {2 Counters} *)
-
-type counter =
-  | Cells_updated  (** lattice points written by kernel invocations *)
-  | Chunks_dispatched  (** pool chunks published to the shared slot *)
-  | Chunks_stolen  (** pool chunks executed by helper domains *)
-  | Inline_fallbacks  (** batches run inline (cutoff, nesting, 1 worker) *)
-  | Cache_hits  (** [Jit.compile] cache hits *)
-  | Cache_misses
-  | Faults_injected  (** [Fault.fire] firings (sf_resilience) *)
-  | Retries  (** supervised kernel retries *)
-  | Failovers  (** backend failovers in a supervised chain *)
-  | Rollbacks  (** checkpoint-ring restores *)
-  | Guard_trips  (** non-finite values caught by guard scans *)
-  | Tasks_skipped  (** pool tasks drained unrun after a batch abort *)
-  | Rank_recoveries  (** [Spmd] dead-rank reconstructions *)
-  | Tune_db_hits  (** autotuner plans served from the persistent DB *)
-  | Tune_db_misses  (** autotuner runs that had to measure candidates *)
-  | Channel_sends  (** halo planes pushed into pipeline ring buffers *)
-  | Channel_stalls
-      (** scheduler passes in which a runnable pipeline node waited on
-          ring space or data (back-pressure visibility) *)
-  | Native_promotions  (** stencil structures switched to native code *)
-  | Native_compiles  (** native modules built with [ocamlopt -shared] *)
-  | Native_compile_ms  (** wall-clock ms spent in those builds *)
-  | Native_disk_hits  (** native modules loaded from the on-disk cache *)
-  | Native_failures
-      (** promotions that failed (no toolchain, build or load error); each
-          is recorded once and the structure stays on the closure tier *)
-  | Native_structures  (** distinct polynomial structures seen *)
-
-val add : counter -> int -> unit
-(** Atomic increment; no-op when tracing is disabled (callers in hot paths
-    guard with {!on} first so not even the argument is evaluated). *)
-
-val note : counter -> int -> unit
-(** Atomic increment whether or not tracing is enabled: for rare events a
-    long-lived process must account for without tracing on (the native
-    tier's [Native_*] counters, which sfserved STATS reports). *)
-
-type counters = {
-  cells_updated : int;
-  chunks_dispatched : int;
-  chunks_stolen : int;
-  inline_fallbacks : int;
-  cache_hits : int;
-  cache_misses : int;
-  faults_injected : int;
-  retries : int;
-  failovers : int;
-  rollbacks : int;
-  guard_trips : int;
-  tasks_skipped : int;
-  rank_recoveries : int;
-  tune_db_hits : int;
-  tune_db_misses : int;
-  channel_sends : int;
-  channel_stalls : int;
-  native_promotions : int;
-  native_compiles : int;
-  native_compile_ms : int;
-  native_disk_hits : int;
-  native_failures : int;
-  native_structures : int;
-}
-
-val counters : unit -> counters
-
 (** {2 Roofline join} *)
 
 val set_bandwidth_gbs : float -> unit
@@ -171,8 +104,8 @@ val dropped : unit -> int
 (** Spans discarded because the buffer cap (2M events) was reached. *)
 
 val clear : unit -> unit
-(** Drop all events and zero all counters; the enabled flag and declared
-    bandwidth are kept. *)
+(** Drop all events; the enabled flag and declared bandwidth are kept.
+    Counters live in {!Metrics} and are zeroed by {!Metrics.reset}. *)
 
 type agg = {
   akind : kind;
@@ -187,15 +120,11 @@ type agg = {
 val summary : unit -> agg list
 (** Events aggregated by (kind, name), sorted by total time descending. *)
 
-val native_json : counters -> (string * Json.t) list
-(** The [Native_*] counters as [("native.promotions", n); ...] fields —
-    one naming shared by the Chrome counter event, [--profile] and
-    sfserved STATS. *)
-
 val to_chrome_json : unit -> Json.t
 (** The Chrome [trace_event] document: an object with a [traceEvents]
     array of complete ("ph":"X") events plus one final counter
-    ("ph":"C") sample, and [displayTimeUnit]. *)
+    ("ph":"C") sample named [sf_counters] carrying every {!Metrics}
+    counter, and [displayTimeUnit]. *)
 
 val write_chrome_json : string -> unit
 (** Export {!to_chrome_json} to a file. *)

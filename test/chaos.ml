@@ -12,6 +12,9 @@ module Mg = Sf_hpgmg.Mg
 module Problem = Sf_hpgmg.Problem
 module Spmd = Sf_distributed.Spmd
 module Trace = Sf_trace.Trace
+module Metrics = Sf_trace.Metrics
+
+let count name = Atomic.get (Metrics.counter name)
 
 let cycles = 4
 let failures = ref 0
@@ -39,10 +42,7 @@ let solve ~backend ~workers () =
 let reset () =
   Fault.disarm ();
   Guard.clear_mode ();
-  Fault.reset_counts ();
-  Guard.reset_counts ();
-  Supervisor.reset_counts ();
-  Checkpoint.reset_counts ();
+  Metrics.reset ();
   Jit.clear_cache ()
 
 let scenario name ~spec ~backend ?(workers = 1) ~clean_norm check_extra =
@@ -60,11 +60,11 @@ let scenario name ~spec ~backend ?(workers = 1) ~clean_norm check_extra =
         Printf.printf
           "  healed: residual %.3e (clean %.3e), %d injected, %d retries, \
            %d failovers, %d rollbacks, %d guard trips, final backend %s\n%!"
-          r clean_norm (Fault.injected_total ())
-          (Supervisor.retries_total ())
-          (Supervisor.failovers_total ())
-          (Checkpoint.rollbacks_total ())
-          (Guard.trips_total ())
+          r clean_norm (count "fault.injected")
+          (count "supervisor.retries")
+          (count "supervisor.failovers")
+          (count "checkpoint.rollbacks")
+          (count "guard.trips")
           (Jit.backend_name (Mg.active_backend solver));
         check_extra solver
       end);
@@ -85,24 +85,24 @@ let () =
      over to the next backend in the chain *)
   scenario "kernel raise -> failover" ~spec:"kernel:raise@match=openmp"
     ~backend:Jit.Openmp ~workers:2 ~clean_norm:clean_omp (fun _ ->
-      require "failover happened" (Supervisor.failovers_total () > 0));
+      require "failover happened" (count "supervisor.failovers" > 0));
 
   (* 2. transient wave failures: heal inside the retry budget, no
      failover needed *)
   scenario "wave transient -> retry" ~spec:"wave:transient@n=2@count=2"
     ~backend:Jit.Openmp ~workers:2 ~clean_norm:clean_omp (fun _ ->
-      require "retries happened" (Supervisor.retries_total () > 0));
+      require "retries happened" (count "supervisor.retries" > 0));
 
   (* 3. NaN poisoning of the finest solution mid-campaign: the divergence
      detector / guard must catch it and roll back to a checkpoint *)
   scenario "mg nan -> rollback" ~spec:"mg:nan@n=6@count=1"
     ~backend:Jit.Compiled ~clean_norm (fun _ ->
-      require "rollback happened" (Checkpoint.rollbacks_total () > 0));
+      require "rollback happened" (count "checkpoint.rollbacks" > 0));
 
   (* 4. Inf poisoning, same healing path *)
   scenario "mg inf -> rollback" ~spec:"mg:inf@n=9@count=1"
     ~backend:Jit.Compiled ~clean_norm (fun _ ->
-      require "rollback happened" (Checkpoint.rollbacks_total () > 0));
+      require "rollback happened" (count "checkpoint.rollbacks" > 0));
 
   (* 5. slow chunks: a delay is absorbed without any recovery action —
      the solve just takes longer *)
@@ -146,12 +146,11 @@ let () =
   Fault.arm_exn "kernel:raise@match=openmp";
   ignore (solve ~backend:Jit.Openmp ~workers:2 ());
   Fault.disarm ();
-  let c = Trace.counters () in
   Trace.set_enabled false;
   Trace.clear ();
-  require "traced faults_injected > 0" (c.Trace.faults_injected > 0);
-  require "traced retries > 0" (c.Trace.retries > 0);
-  require "traced failovers > 0" (c.Trace.failovers > 0);
+  require "traced fault.injected > 0" (count "fault.injected" > 0);
+  require "traced supervisor.retries > 0" (count "supervisor.retries" > 0);
+  require "traced supervisor.failovers > 0" (count "supervisor.failovers" > 0);
   reset ();
 
   if !failures > 0 then begin

@@ -6,7 +6,7 @@
 open Sf_backends
 open Sf_hpgmg
 module Mesh = Sf_mesh.Mesh
-module Trace = Sf_trace.Trace
+module Metrics = Sf_trace.Metrics
 
 let solve mode =
   let s = Mg.create ~n:16 () in
@@ -24,8 +24,8 @@ let () =
       if Int64.bits_of_float x <> Int64.bits_of_float (Float.Array.get closure i) then
         same := false)
     native;
-  let c = Trace.counters () in
+  let count name = Atomic.get (Metrics.counter ("native." ^ name)) in
   List.iter (prerr_endline) (Native.failures ());
   if not !same then prerr_endline "native_race_check: native differs from closure";
-  if !same && c.Trace.native_failures = 0 && c.Trace.native_promotions > 0 then exit 0
+  if !same && count "failures" = 0 && count "promotions" > 0 then exit 0
   else exit 1

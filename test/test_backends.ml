@@ -6,6 +6,10 @@ open Sf_backends
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_float = Alcotest.(check (float 1e-12))
+
+module Metrics = Sf_trace.Metrics
+
+let count name = Atomic.get (Metrics.counter name)
 let iv = Ivec.of_list
 
 (* ---------------------------------------------------------------- Pool *)
@@ -85,7 +89,7 @@ let test_pool_abort_skips_counted () =
   (* regression: an aborted batch used to look indistinguishable from a
      completed one — the drained tasks must show up in stats as [skipped] *)
   let pool = Pool.create ~workers:4 in
-  Pool.reset_stats ();
+  Metrics.reset ();
   let executed = Atomic.make 0 in
   let tasks =
     Array.init 512 (fun i () ->
@@ -103,10 +107,11 @@ let test_pool_abort_skips_counted () =
      Pool.run_tasks pool tasks;
      Alcotest.fail "exception swallowed"
    with Failure m -> Alcotest.(check string) "msg" "abort" m);
-  let s = Pool.stats () in
-  check_bool "abort visibly skipped tasks" true (s.Pool.skipped > 0);
+  check_bool "abort visibly skipped tasks" true (count "pool.skipped" > 0);
   check_int "skipped + executed accounts for every non-failing task" 511
-    (s.Pool.skipped + Atomic.get executed)
+    (count "pool.skipped" + Atomic.get executed);
+  (* pool.chunks counts every drained chunk, run or skipped *)
+  check_int "every chunk drained is counted" 512 (count "pool.chunks")
 
 let test_pool_reentrant_exception () =
   (* a nested (inline) submission that raises must propagate through both
@@ -146,16 +151,16 @@ let test_pool_shutdown_idempotent () =
 
 let test_pool_serial_cutoff () =
   let pool = Pool.create ~workers:4 |> Pool.with_serial_cutoff 1000 in
-  Pool.reset_stats ();
+  Metrics.reset ();
   let ran = Array.make 4 0 in
   let tasks () = Array.init 4 (fun i () -> ran.(i) <- ran.(i) + 1) in
   Pool.run_tasks ~points:10 pool (tasks ());
-  check_int "below cutoff: no dispatch" 0 (Pool.stats ()).Pool.jobs;
+  check_int "below cutoff: no dispatch" 0 (count "pool.batches");
   Pool.run_tasks ~points:100_000 pool (tasks ());
-  check_int "above cutoff: dispatched" 1 (Pool.stats ()).Pool.jobs;
+  check_int "above cutoff: dispatched" 1 (count "pool.batches");
   (* no hint means no cutoff *)
   Pool.run_tasks pool (tasks ());
-  check_int "no hint: dispatched" 2 (Pool.stats ()).Pool.jobs;
+  check_int "no hint: dispatched" 2 (count "pool.batches");
   check_bool "every batch ran fully" true (Array.for_all (( = ) 3) ran)
 
 let test_parallel_range_serial_cutoff () =
@@ -164,7 +169,7 @@ let test_parallel_range_serial_cutoff () =
      lattice points.  Before the fix the cutoff was never consulted and a
      100-point range was published to the pool. *)
   let pool = Pool.create ~workers:4 |> Pool.with_serial_cutoff 1000 in
-  Pool.reset_stats ();
+  Metrics.reset ();
   let seen = Array.make 100 0 in
   Pool.parallel_range ~grain:7 pool 100 (fun lo hi ->
       check_bool "grain bound" true (hi - lo <= 7 && lo < hi);
@@ -172,35 +177,41 @@ let test_parallel_range_serial_cutoff () =
         seen.(i) <- seen.(i) + 1
       done);
   check_bool "covers [0,n) exactly once" true (Array.for_all (( = ) 1) seen);
-  check_int "below cutoff: no dispatch" 0 (Pool.stats ()).Pool.jobs;
-  check_int "below cutoff: counted inline" 1 (Pool.stats ()).Pool.inline_runs;
+  check_int "below cutoff: no dispatch" 0 (count "pool.batches");
+  check_int "below cutoff: counted inline" 1 (count "pool.inline");
   (* above the cutoff the range still goes to the pool *)
   let acc = Atomic.make 0 in
   Pool.parallel_range pool 5000 (fun lo hi ->
       ignore (Atomic.fetch_and_add acc (hi - lo)));
-  check_int "above cutoff: dispatched" 1 (Pool.stats ()).Pool.jobs;
+  check_int "above cutoff: dispatched" 1 (count "pool.batches");
   check_int "above cutoff: covered" 5000 (Atomic.get acc)
 
-let test_reset_stats_resets_spawned () =
-  (* regression: reset_stats used to zero every counter except spawned, so
-     a post-reset report mixed lifetime spawns with per-session numbers *)
+let test_metrics_reset_zeroes_counters () =
+  (* regression: the pool's reset once zeroed every counter except
+     spawned, so a post-reset report mixed lifetime spawns with
+     per-session numbers.  One Metrics.reset now covers every counter. *)
   let pool = Pool.create ~workers:4 in
   (* park-and-join any live workers so the next dispatch must respawn *)
   Pool.shutdown ();
-  Pool.reset_stats ();
+  Metrics.reset ();
   Pool.run_tasks pool (Array.init 16 (fun _ () -> ()));
-  check_bool "workers were spawned" true ((Pool.stats ()).Pool.spawned > 0);
-  Pool.reset_stats ();
-  let s = Pool.stats () in
-  check_int "spawned reset" 0 s.Pool.spawned;
-  check_int "jobs reset" 0 s.Pool.jobs;
-  check_int "chunks reset" 0 s.Pool.chunks;
-  check_int "stolen reset" 0 s.Pool.stolen;
-  check_int "inline reset" 0 s.Pool.inline_runs;
+  Pool.run_tasks pool [| (fun () -> ()) |];
+  check_bool "workers were spawned" true (count "pool.spawned" > 0);
+  let live () =
+    (List.assoc "pool.live_domains" (Metrics.snapshot ()).Metrics.gauges)
+      .Metrics.level
+  in
+  let live_before = live () in
+  check_bool "workers are live" true (live_before > 0);
+  Metrics.reset ();
+  List.iter
+    (fun (name, v) -> check_int (name ^ " reset") 0 v)
+    (Metrics.snapshot ()).Metrics.counters;
   (* the gauge survives: hot workers stay parked, and the next batch
      reuses them without new spawns *)
+  check_int "pool.live_domains survives" live_before (live ());
   Pool.run_tasks pool (Array.init 16 (fun _ () -> ()));
-  check_int "hot workers reused, none spawned" 0 (Pool.stats ()).Pool.spawned
+  check_int "hot workers reused, none spawned" 0 (count "pool.spawned")
 
 (* -------------------------------------------------------------- Tiling *)
 
@@ -1367,8 +1378,8 @@ let () =
           Alcotest.test_case "serial cutoff" `Quick test_pool_serial_cutoff;
           Alcotest.test_case "parallel_range serial cutoff" `Quick
             test_parallel_range_serial_cutoff;
-          Alcotest.test_case "reset_stats resets spawned" `Quick
-            test_reset_stats_resets_spawned;
+          Alcotest.test_case "Metrics.reset zeroes all" `Quick
+            test_metrics_reset_zeroes_counters;
         ] );
       ( "tiling",
         [

@@ -341,9 +341,7 @@ let test_timetile_wave_fault () =
   in
   check_string "time-tiled" "timetile" kernel.Kernel.backend;
   Fun.protect
-    ~finally:(fun () ->
-      Fault.disarm ();
-      Fault.reset_counts ())
+    ~finally:Fault.disarm
     (fun () ->
       Fault.arm_exn "wave:raise";
       match kernel.Kernel.run (gsrb_mesh shape) with

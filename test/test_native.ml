@@ -9,7 +9,7 @@ open Sf_mesh
 open Snowflake
 open Sf_backends
 open Sf_hpgmg
-module Trace = Sf_trace.Trace
+module Metrics = Sf_trace.Metrics
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -44,11 +44,12 @@ let with_compiler cc f =
   Native.set_compiler cc;
   Fun.protect ~finally:(fun () -> Native.set_compiler good_compiler) f
 
-let counters () = Trace.counters ()
+let counters () = (Metrics.snapshot ()).Metrics.counters
+let native c name = List.assoc ("native." ^ name) c
 
 (* counter growth since the snapshot [c0] *)
-let promoted c0 = (counters ()).Trace.native_promotions - c0.Trace.native_promotions
-let failed c0 = (counters ()).Trace.native_failures - c0.Trace.native_failures
+let promoted c0 = native (counters ()) "promotions" - native c0 "promotions"
+let failed c0 = native (counters ()) "failures" - native c0 "failures"
 
 let same_bits name a b =
   let da = Mesh.data a and db = Mesh.data b in
@@ -155,8 +156,8 @@ let test_forced_bitwise () =
   end;
   (* another coefficient is the same structure: no further build *)
   forced_matches ~shape ~grids:(fun () -> grids_2d shape) (carry_group ~k:0.75 ());
-  check_int "no rebuild for new values" c1.Trace.native_compiles
-    (counters ()).Trace.native_compiles
+  check_int "no rebuild for new values" (native c1 "compiles")
+    (native (counters ()) "compiles")
 
 let test_mg_bitwise () =
   fresh_cache ();
@@ -194,8 +195,8 @@ let test_ski_rental () =
   let c0 = counters () in
   let grids = grids_1d 64 in
   k.Kernel.run grids;
-  check_int "one short run does not build" c0.Trace.native_compiles
-    (counters ()).Trace.native_compiles;
+  check_int "one short run does not build" (native c0 "compiles")
+    (native (counters ()) "compiles");
   (* keep running until the closure time pays for a build (50 ms seed) *)
   let reference = run ~mode:Native.Off ~shape group (grids_1d 64) in
   let t0 = Unix.gettimeofday () in

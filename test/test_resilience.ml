@@ -11,20 +11,20 @@ open Sf_resilience
 module Mg = Sf_hpgmg.Mg
 module Problem = Sf_hpgmg.Problem
 module Spmd = Sf_distributed.Spmd
+module Metrics = Sf_trace.Metrics
+module Trace = Sf_trace.Trace
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
+let count name = Atomic.get (Metrics.counter name)
 
 let clean f =
   Fun.protect
     ~finally:(fun () ->
       Fault.disarm ();
       Guard.clear_mode ();
-      Fault.reset_counts ();
-      Guard.reset_counts ();
-      Supervisor.reset_counts ();
-      Checkpoint.reset_counts ())
+      Metrics.reset ())
     f
 
 (* ----------------------------------------------------------- fault spec *)
@@ -69,7 +69,7 @@ let test_fault_nth_and_count () =
         "first two occurrences only"
         [ true; true; false; false; false ]
         fired;
-      check_int "injected_total" 3 (Fault.injected_total ()))
+      check_int "fault.injected" 3 (count "fault.injected"))
 
 let test_fault_match_filter () =
   clean (fun () ->
@@ -126,7 +126,7 @@ let test_guard_scan () =
          Guard.scan_mesh ~mode:Guard.Sample ~name:"tail" m2;
          Alcotest.fail "sample scan missed the tail Inf"
        with Guard.Tripped _ -> ());
-      check_int "trips counted" 2 (Guard.trips_total ()))
+      check_int "trips counted" 2 (count "guard.trips"))
 
 let test_guard_effective_modes () =
   clean (fun () ->
@@ -158,8 +158,8 @@ let test_supervisor_retry_heals () =
           ]
       in
       check_int "healed on third try" 42 v;
-      check_int "two retries recorded" 2 (Supervisor.retries_total ());
-      check_int "no failover" 0 (Supervisor.failovers_total ()))
+      check_int "two retries recorded" 2 (count "supervisor.retries");
+      check_int "no failover" 0 (count "supervisor.failovers"))
 
 let test_supervisor_failover () =
   clean (fun () ->
@@ -171,7 +171,7 @@ let test_supervisor_failover () =
           ]
       in
       check_string "fell over" "ok" v;
-      check_int "one failover" 1 (Supervisor.failovers_total ());
+      check_int "one failover" 1 (count "supervisor.failovers");
       (* chain exhausted: the last failure surfaces *)
       try
         Supervisor.run ~policy:fast_policy ~name:"t"
@@ -184,7 +184,7 @@ let test_supervisor_fatal_not_absorbed () =
         Supervisor.run ~policy:fast_policy ~name:"t"
           [ ("oom", fun () -> raise Out_of_memory); ("never", fun () -> ()) ]
       with Out_of_memory ->
-        check_int "no retries on fatal" 0 (Supervisor.retries_total ()))
+        check_int "no retries on fatal" 0 (count "supervisor.retries"))
 
 (* ----------------------------------------------------------- checkpoint *)
 
@@ -252,11 +252,39 @@ let test_mg_solve_resilient_heals () =
       let clean_r = solve () in
       (* one NaN mid-campaign: divergence detector must roll back and the
          final residual must match a fault-free solve's ballpark *)
-      Fault.arm_exn "mg:nan@n=6@count=1";
-      let faulted_r = solve () in
-      Fault.disarm ();
-      check_bool "fault actually injected" true (Fault.injected_total () > 0);
-      check_bool "rollback happened" true (Checkpoint.rollbacks_total () > 0);
+      let faulted traced =
+        Metrics.reset ();
+        Trace.clear ();
+        Fault.arm_exn "mg:nan@n=6@count=1";
+        Fun.protect ~finally:Fault.disarm (fun () ->
+            Trace.with_enabled traced solve)
+      in
+      let faulted_r = faulted false in
+      check_bool "fault actually injected" true (count "fault.injected" > 0);
+      check_bool "rollback happened" true (count "checkpoint.rollbacks" > 0);
+      (* tracing off: the rollback's sticky backend demotion is counted
+         anyway, as its own metric *)
+      let demotions = count "mg.demotions" in
+      let failovers = count "supervisor.failovers" in
+      check_bool "demotion counted with tracing off" true (demotions >= 1);
+      (* the same campaign traced marks every demotion [failover:mg] and
+         every supervisor failover [failover:<kernel>]: the untraced
+         supervisor.failovers must match the latter alone *)
+      ignore (faulted true : float);
+      let failover_markers =
+        List.filter_map
+          (fun e ->
+            if String.starts_with ~prefix:"failover:" e.Trace.name then
+              Some e.Trace.name
+            else None)
+          (Trace.events ())
+      in
+      Trace.clear ();
+      let markers keep = List.length (List.filter keep failover_markers) in
+      check_int "one failover:mg marker per demotion" demotions
+        (markers (fun n -> n = "failover:mg"));
+      check_int "supervisor.failovers excludes the demotions" failovers
+        (markers (fun n -> n <> "failover:mg"));
       check_bool
         (Printf.sprintf "healed: %.3e vs clean %.3e" faulted_r clean_r)
         true

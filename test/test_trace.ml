@@ -13,6 +13,7 @@ open Sf_trace
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let iv = Ivec.of_list
+let count name = Atomic.get (Metrics.counter name)
 
 (* a 2-stencil red/black in-place group with a per-test unique label, so
    events are attributable even though the jit cache is shared *)
@@ -198,8 +199,7 @@ let test_compile_span_and_cache_counters () =
   Trace.with_enabled true (fun () ->
       Trace.clear ();
       ignore (Jit.compile Jit.Compiled ~shape group);
-      let c = Trace.counters () in
-      check_int "first compile is a miss" 1 c.Trace.cache_misses;
+      check_int "first compile is a miss" 1 (count "jit.misses");
       check_bool "compile span recorded" true
         (List.exists
            (fun e ->
@@ -207,9 +207,8 @@ let test_compile_span_and_cache_counters () =
              && e.Trace.name = "compile:trace_cachectr")
            (Trace.events ()));
       ignore (Jit.compile Jit.Compiled ~shape group);
-      let c = Trace.counters () in
-      check_int "second compile hits" 1 c.Trace.cache_hits;
-      check_int "still one miss" 1 c.Trace.cache_misses)
+      check_int "second compile hits" 1 (count "jit.hits");
+      check_int "still one miss" 1 (count "jit.misses"))
 
 (* ---------------------------------------------------- counter exactness *)
 
@@ -223,22 +222,20 @@ let test_cells_updated_exact () =
       let group = two_stencil_group label in
       let expected = group_cells ~shape group in
       Trace.with_enabled true (fun () ->
-          Trace.clear ();
+          Metrics.reset ();
           let kernel = Jit.compile ~config backend ~shape group in
           let grids = mk_grids shape in
           kernel.Kernel.run grids;
           check_int
             (bname ^ ": cells = domain size")
-            expected
-            (Trace.counters ()).Trace.cells_updated;
+            expected (count "jit.cells");
           kernel.Kernel.run grids;
           check_int
             (bname ^ ": cells accumulate per run")
-            (2 * expected)
-            (Trace.counters ()).Trace.cells_updated))
+            (2 * expected) (count "jit.cells")))
     backends
 
-let test_pool_counters_mirrored () =
+let test_pool_counters () =
   Jit.clear_cache ();
   let shape = iv [ 48; 48 ] in
   let group = two_stencil_group "trace_poolctr" in
@@ -247,19 +244,19 @@ let test_pool_counters_mirrored () =
   in
   Trace.with_enabled true (fun () ->
       Trace.clear ();
+      Metrics.reset ();
       let kernel = Jit.compile ~config Jit.Openmp ~shape group in
       kernel.Kernel.run (mk_grids shape);
-      let c = Trace.counters () in
-      check_bool "chunks dispatched mirrored" true (c.Trace.chunks_dispatched > 0);
-      check_bool "chunk spans recorded" true
-        (List.exists (fun e -> e.Trace.kind = Trace.Chunk) (Trace.events ())));
-  (* inline fallbacks mirror too: a below-cutoff wave *)
+      check_bool "chunks counted" true (count "pool.chunks" > 0);
+      check_int "one chunk span per chunk" (count "pool.chunks")
+        (List.length
+           (List.filter (fun e -> e.Trace.kind = Trace.Chunk) (Trace.events ()))));
+  (* inline fallbacks count too: a below-cutoff wave *)
   Trace.with_enabled true (fun () ->
-      Trace.clear ();
+      Metrics.reset ();
       let pool = Pool.create ~workers:4 |> Pool.with_serial_cutoff 1_000_000 in
       Pool.run_tasks ~points:10 pool [| (fun () -> ()); (fun () -> ()) |];
-      check_bool "inline fallback mirrored" true
-        ((Trace.counters ()).Trace.inline_fallbacks > 0))
+      check_int "inline fallback counted" 1 (count "pool.inline"))
 
 (* ------------------------------------------------------ disabled mode *)
 
@@ -268,21 +265,22 @@ let test_disabled_records_nothing () =
   let shape = iv [ 12; 12 ] in
   let group = two_stencil_group "trace_off" in
   Trace.with_enabled true (fun () -> Trace.clear ());
+  Metrics.reset ();
   Trace.with_enabled false (fun () ->
       let kernel =
         Jit.compile ~config:(Config.with_workers 2 Config.default) Jit.Openmp
           ~shape group
       in
       kernel.Kernel.run (mk_grids shape);
-      Trace.add Trace.Cells_updated 42;
       Trace.record_span Trace.Phase "ghost" ~ts_us:0. ~dur_us:1.;
       ignore (Trace.span Trace.Phase "ghost2" (fun () -> 1)));
   Trace.with_enabled true (fun () ->
       check_int "no events recorded while off" 0
         (List.length (Trace.events ()));
-      let c = Trace.counters () in
-      check_int "no cells counted while off" 0 c.Trace.cells_updated;
-      check_int "no dispatch counted while off" 0 c.Trace.chunks_dispatched)
+      check_int "no cells counted while off" 0 (count "jit.cells");
+      (* the pool counts always, but these 144-point waves run inline
+         below the default serial cutoff *)
+      check_int "no dispatch counted while off" 0 (count "pool.chunks"))
 
 let test_disabled_overhead_bound () =
   (* the hot-path guard is one atomic load and a branch: 50M iterations
@@ -356,6 +354,129 @@ let test_chrome_json_roundtrip () =
           | Ok j -> check_bool "file equals document" true (Json.equal j doc)
           | Error e -> Alcotest.failf "exported file does not parse: %s" e))
 
+(* ------------------------------------------------------------ registry *)
+
+let series_summary name =
+  match
+    List.find_opt
+      (fun (s : Metrics.summary) -> s.Metrics.sname = name)
+      (Metrics.snapshot ()).Metrics.series
+  with
+  | Some s -> s
+  | None -> Alcotest.failf "series %s not in the snapshot" name
+
+let gauge_reading name =
+  List.assoc name (Metrics.snapshot ()).Metrics.gauges
+
+let check_float = Alcotest.(check (float 1e-9))
+
+let test_series_window_wraps () =
+  (* capacity 16: observing 40 .. 1 leaves 16 .. 1 in the window, while
+     n and max stay lifetime figures *)
+  let s = Metrics.series ~capacity:16 "test.wrap_us" in
+  for i = 40 downto 1 do
+    Metrics.observe s (float_of_int i)
+  done;
+  let sm = series_summary "test.wrap_us" in
+  check_int "n counts every sample" 40 sm.Metrics.n;
+  check_float "p50 over the window" 8.5 sm.Metrics.p50;
+  check_float "p99 over the window" 15.85 sm.Metrics.p99;
+  check_float "max is lifetime" 40. sm.Metrics.smax;
+  check_float "mean over the window" 8.5 sm.Metrics.smean
+
+let test_gauge_high_water () =
+  let g = Metrics.gauge "test.level" in
+  Metrics.gauge_set g 5;
+  Metrics.gauge_set g 2;
+  let r = gauge_reading "test.level" in
+  check_int "level" 2 r.Metrics.level;
+  check_int "high-water mark" 5 r.Metrics.hwm;
+  Metrics.reset ();
+  let r = gauge_reading "test.level" in
+  check_int "reset keeps the level" 2 r.Metrics.level;
+  check_int "reset drops the mark to the level" 2 r.Metrics.hwm;
+  Metrics.gauge_set g 3;
+  check_int "mark rises again" 3 (gauge_reading "test.level").Metrics.hwm
+
+let test_reset_keeps_handles () =
+  let c = Metrics.counter "test.handle" in
+  let s = Metrics.series "test.handle_us" in
+  Atomic.incr c;
+  Atomic.incr c;
+  Metrics.observe s 1.;
+  Metrics.reset ();
+  check_int "counter zeroed" 0 (count "test.handle");
+  check_int "series emptied" 0 (series_summary "test.handle_us").Metrics.n;
+  check_bool "same counter handle" true (Metrics.counter "test.handle" == c);
+  Atomic.incr c;
+  Metrics.observe s 7.;
+  check_int "old counter handle still counts" 1 (count "test.handle");
+  let sm = series_summary "test.handle_us" in
+  check_int "old series handle still observes" 1 sm.Metrics.n;
+  check_float "only the new sample" 7. sm.Metrics.p50
+
+let test_one_snapshot_three_sinks () =
+  Jit.clear_cache ();
+  let shape = iv [ 48; 48 ] in
+  let group = two_stencil_group "trace_sinks" in
+  let config =
+    { (Config.with_workers 3 Config.default) with Config.serial_cutoff = 1 }
+  in
+  let module Fault = Sf_resilience.Fault in
+  let module Server = Sf_serve.Server in
+  let server = Server.create () in
+  Fun.protect
+    ~finally:(fun () ->
+      Fault.disarm ();
+      Server.stop server;
+      Server.join server)
+    (fun () ->
+      Trace.with_enabled true (fun () ->
+          Trace.clear ();
+          Metrics.reset ();
+          Fault.arm_exn "kernel:raise@count=1";
+          let kernel = Supervise.compile ~config Jit.Openmp ~shape group in
+          kernel.Kernel.run (mk_grids shape);
+          Fault.disarm ();
+          let member_of = function
+            | Some (Json.Obj fields) -> fields
+            | _ -> Alcotest.fail "counters are not a JSON object"
+          in
+          let chrome =
+            match Json.member "traceEvents" (Trace.to_chrome_json ()) with
+            | Some (Json.Arr evs) ->
+                List.find
+                  (fun e -> Json.member "name" e = Some (Json.Str "sf_counters"))
+                  evs
+                |> Json.member "args" |> member_of
+            | _ -> Alcotest.fail "no traceEvents array"
+          in
+          let stats =
+            match Json.of_string (Server.stats_json server) with
+            | Ok doc -> member_of (Json.member "counters" doc)
+            | Error e -> Alcotest.failf "STATS does not parse: %s" e
+          in
+          let line = String.split_on_char ' ' (Report.counters_line ()) in
+          let nonzero =
+            List.filter (fun (_, v) -> v <> 0) (Metrics.snapshot ()).Metrics.counters
+          in
+          List.iter
+            (fun name ->
+              check_bool (name ^ " counted") true (List.mem_assoc name nonzero))
+            [ "fault.injected"; "jit.cells"; "jit.misses"; "pool.chunks" ];
+          check_int "the line omits exactly the zero counters"
+            (List.length nonzero) (List.length line);
+          List.iter
+            (fun (name, v) ->
+              let num = Some (Json.Num (float_of_int v)) in
+              check_bool (name ^ " in sf_counters") true
+                (List.assoc_opt name chrome = num);
+              check_bool (name ^ " in STATS") true
+                (List.assoc_opt name stats = num);
+              check_bool (name ^ " in the counters line") true
+                (List.mem (Printf.sprintf "%s=%d" name v) line))
+            nonzero))
+
 (* summary aggregation feeds the report table *)
 let test_summary_aggregates () =
   Jit.clear_cache ();
@@ -394,8 +515,18 @@ let () =
         [
           Alcotest.test_case "cells = domain size" `Quick
             test_cells_updated_exact;
-          Alcotest.test_case "pool counters mirrored" `Quick
-            test_pool_counters_mirrored;
+          Alcotest.test_case "pool counters" `Quick test_pool_counters;
+        ] );
+      ( "metrics",
+        [
+          Alcotest.test_case "series window wraps" `Quick
+            test_series_window_wraps;
+          Alcotest.test_case "gauge high-water mark" `Quick
+            test_gauge_high_water;
+          Alcotest.test_case "reset keeps handles" `Quick
+            test_reset_keeps_handles;
+          Alcotest.test_case "one snapshot, three sinks" `Quick
+            test_one_snapshot_three_sinks;
         ] );
       ( "disabled",
         [
