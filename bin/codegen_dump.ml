@@ -1,6 +1,8 @@
-(* Dump the C/OpenMP or OpenCL source a micro-compiler emits for one of
-   the built-in stencil groups — the inspectable artefact of the paper's
-   "rendered into the configured performance language" step. *)
+(* Dump the C/OpenMP, OpenCL or CUDA source a micro-compiler emits for one
+   of the built-in stencil groups — the inspectable artefact of the paper's
+   "rendered into the configured performance language" step.  The source
+   prints the plan the JIT executes for the same options (SF_FUSION
+   included). *)
 
 open Cmdliner
 open Sf_util
@@ -62,18 +64,22 @@ let run group_name lang n workers file =
     (fun i -> Printf.eprintf "// %s\n" (Sf_analysis.Validate.issue_to_string i))
     issues;
   if List.exists Sf_analysis.Validate.is_error issues then exit 1;
-  match lang with
-  | "c" | "seq" ->
-      print_string (Sf_codegen.Seq_emit.emit ~shape ~grid_shapes group)
-  | "openmp" ->
-      print_string (Sf_codegen.Omp_emit.emit ~config ~shape ~grid_shapes group)
-  | "opencl" ->
-      print_string (Sf_codegen.Ocl_emit.emit ~config ~shape ~grid_shapes group)
-  | "cuda" ->
-      print_string (Sf_codegen.Cuda_emit.emit ~config ~shape ~grid_shapes group)
-  | other ->
-      Printf.eprintf "unknown language %S (c|openmp|opencl|cuda)\n" other;
-      exit 2
+  let emit =
+    match lang with
+    | "c" | "seq" -> Sf_codegen.Seq_emit.emit
+    | "openmp" -> Sf_codegen.Omp_emit.emit ~config
+    | "opencl" -> Sf_codegen.Ocl_emit.emit ~config
+    | "cuda" -> Sf_codegen.Cuda_emit.emit ~config
+    | other ->
+        Printf.eprintf "unknown language %S (c|openmp|opencl|cuda)\n" other;
+        exit 2
+  in
+  (* an emitter refuses names that would collide in C *)
+  match emit ~shape ~grid_shapes group with
+  | src -> print_string src
+  | exception Invalid_argument msg ->
+      prerr_endline msg;
+      exit 1
 
 let group_arg =
   Arg.(value & pos 0 string "gsrb" & info [] ~docv:"GROUP" ~doc:"Stencil group to compile.")

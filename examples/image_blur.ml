@@ -7,9 +7,10 @@
      dune exec examples/image_blur.exe
 
    Pipeline: blur_x (1x3) → blur_y (3x1) → sharpen = img + k·(img − blur).
-   The fusion pass collapses producer/consumer pairs when the consumer
-   reads the producer only at offset zero — here blur_y reads blur_x at
-   offsets, so the *first* pair must NOT fuse (the analysis refuses), while
+   The producer-inlining pass (Config.inline_producers; Config.fusion is
+   the other fusion, which keeps every stencil and shares tiles) collapses
+   producer/consumer pairs when the consumer reads the producer only at
+   offset zero — here blur_y reads blur_x at offsets, so the *first* pair must NOT fuse (the analysis refuses), while
    the final point-wise sharpen fuses with nothing upstream for the same
    reason.  We check the optimiser's decisions and that results match the
    unfused pipeline exactly. *)
@@ -88,7 +89,8 @@ let () =
   in
   let plain = run Config.default in
   let fused =
-    run { Config.default with fuse = true; dce = Config.Dce [ "out" ] }
+    run
+      { Config.default with inline_producers = true; dce = Config.Dce [ "out" ] }
   in
   let d =
     Mesh.max_abs_diff (Grids.find plain "out") (Grids.find fused "out")

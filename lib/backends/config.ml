@@ -8,7 +8,7 @@ type t = {
   multicolor : bool;
   schedule : schedule;
   validate : bool;
-  fuse : bool;
+  inline_producers : bool;
   dce : dce;
   serial_cutoff : int;
   certify : bool;
@@ -63,7 +63,7 @@ let default =
     multicolor = false;
     schedule = Greedy_waves;
     validate = true;
-    fuse = false;
+    inline_producers = false;
     dce = No_dce;
     serial_cutoff = default_serial_cutoff;
     certify = default_certify;

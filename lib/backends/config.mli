@@ -18,10 +18,13 @@ type t = {
           spatially instead of color-by-color *)
   schedule : schedule;
   validate : bool;  (** bounds/shape checks at kernel invocation *)
-  fuse : bool;
-      (** greedily fuse consecutive stencils when the analysis proves it
-          legal (producer consumed at offset zero over an identical
-          domain) *)
+  inline_producers : bool;
+      (** [Passes.fuse_pass]: substitute a producer's expression into its
+          consumer when the analysis proves it legal (producer consumed at
+          offset zero over an identical domain) and its write is
+          unobservable, so the group has one stencil fewer.  Unlike
+          [fusion], which keeps every stencil and shares tiles, this
+          rewrites the group before any backend lowers it *)
   dce : dce;
       (** dead-stencil elimination before scheduling *)
   serial_cutoff : int;

@@ -106,10 +106,7 @@ let instrument ~cost ~backend group (kernel : Kernel.t) =
     @ Costing.args cost
   in
   let fault_detail = backend ^ ":" ^ group.Group.label in
-  let outputs =
-    List.map (fun s -> s.Stencil.output) (Group.stencils group)
-    |> List.sort_uniq String.compare
-  in
+  let outputs = Group.outputs group in
   let run ?params grids =
     let poison =
       if Fault.armed () then Fault.fire ~site:"kernel" ~detail:fault_detail
@@ -129,6 +126,7 @@ let instrument ~cost ~backend group (kernel : Kernel.t) =
   { kernel with Kernel.run }
 
 let lower ?(config = Config.default) backend ~shape group =
+  let group = Passes.optimize config ~shape group in
   match backend with
   | Interp -> Serial_backend.lower ~backend:"interp" ~shape group
   | Compiled -> Serial_backend.lower ~backend:"compiled" ~shape group
@@ -213,12 +211,12 @@ let compile ?(config = Config.default) backend ~shape group =
         Trace.Compile
         ("compile:" ^ group.Group.label)
         (fun () ->
-          let group = Passes.optimize config ~shape group in
           match backend with
           | Custom name -> (
               match locked (fun () -> Hashtbl.find_opt registry name) with
               | Some compiler ->
                   (* a custom plan is opaque to the certifier *)
+                  let group = Passes.optimize config ~shape group in
                   instrument
                     ~cost:(Costing.of_group ~shape group)
                     ~backend:name group

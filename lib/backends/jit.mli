@@ -58,18 +58,19 @@ val registered_backends : unit -> string list
 
 val lower :
   ?config:Config.t -> backend -> shape:Ivec.t -> Group.t -> Plan.t
-(** The plan a built-in backend executes for the group as given
-    ({!compile} first runs [Passes.optimize]).  With [Config.fusion] on,
-    the OpenMP/OpenCL plans are the fused ones and cost the single-pass
-    [Costing.of_clusters] bytes.  Raises [Invalid_argument] for a
-    [Custom] backend. *)
+(** The plan a built-in backend executes: [Passes.optimize], then the
+    backend's decomposition.  {!compile} certifies, instruments and runs
+    exactly this value, and the [Sf_codegen] emitters print it.  With
+    [Config.fusion] on, the OpenMP/OpenCL plans are the fused ones and
+    cost the single-pass [Costing.of_clusters] bytes.  Raises
+    [Invalid_argument] for a [Custom] backend. *)
 
 val compile :
   ?config:Config.t -> backend -> shape:Ivec.t -> Group.t -> Kernel.t
 (** Always ONE application of the group per kernel invocation
     ([Config.time_tile] only distinguishes cache entries here; the
     temporal depth is consumed by {!compile_time_tiled}).  A built-in
-    backend's group is lowered once to a {!Plan.t}; that same value is
+    backend's group is lowered once by {!lower}; that same value is
     certified (under [Config.certify]), annotates the kernel span with
     its cost, and is run by [Plan.execute]. *)
 

@@ -30,4 +30,4 @@ let optimize (cfg : Config.t) ~shape group =
     | Config.No_dce -> (group, None)
     | Config.Dce live -> (Schedule.eliminate_dead ~shape ~live group, Some live)
   in
-  if cfg.Config.fuse then fuse_pass ~shape ~live group else group
+  if cfg.Config.inline_producers then fuse_pass ~shape ~live group else group

@@ -19,4 +19,5 @@ val fuse_pass :
     same-output fusion is performed. *)
 
 val optimize : Config.t -> shape:Ivec.t -> Group.t -> Group.t
-(** DCE (when configured) followed by fusion (when configured). *)
+(** DCE (when configured) followed by {!fuse_pass} (under
+    [Config.inline_producers]). *)

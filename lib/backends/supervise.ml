@@ -30,10 +30,7 @@ let chain = function
 let compile ?policy ?(config = Config.default) backend ~shape group =
   let primary = Jit.compile ~config backend ~shape group in
   let backends = chain backend in
-  let outputs =
-    List.map (fun s -> s.Stencil.output) (Group.stencils group)
-    |> List.sort_uniq String.compare
-  in
+  let outputs = Group.outputs group in
   let run ?params grids =
     if not (Fault.armed () || Guard.active ()) then
       primary.Kernel.run ?params grids

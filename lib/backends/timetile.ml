@@ -31,12 +31,8 @@ open Sf_analysis
 
 type plan = { group : Group.t; reps : int; block : int; skew : int }
 
-let written_grids group =
-  List.sort_uniq String.compare
-    (List.map (fun (s : Stencil.t) -> s.Stencil.output) (Group.stencils group))
-
 let required_skew group =
-  let written = written_grids group in
+  let written = Group.outputs group in
   List.fold_left
     (fun acc (s : Stencil.t) ->
       List.fold_left
@@ -53,7 +49,7 @@ let required_skew group =
    point-parallelism makes the order of a sub-step's slabs (and of the
    union rects within a slab) unobservable. *)
 let illegalities ~shape group =
-  let written = written_grids group in
+  let written = Group.outputs group in
   List.concat_map
     (fun (s : Stencil.t) ->
       let label = s.Stencil.label in

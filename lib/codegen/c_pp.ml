@@ -31,8 +31,7 @@ and atom e =
 let rec stmt_lines indent s =
   let pad = String.make indent ' ' in
   match s with
-  | Decl (ctype, name, None) -> [ Printf.sprintf "%s%s %s;" pad ctype name ]
-  | Decl (ctype, name, Some e) ->
+  | Decl (ctype, name, e) ->
       [ Printf.sprintf "%s%s %s = %s;" pad ctype name (expr_to_string e) ]
   | Assign (lhs, rhs) ->
       [
@@ -52,7 +51,6 @@ let rec stmt_lines indent s =
       :: List.concat_map (stmt_lines (indent + 2)) body)
       @ [ pad ^ "}" ]
   | Pragma p -> [ Printf.sprintf "%s#pragma %s" pad p ]
-  | Expr_stmt e -> [ Printf.sprintf "%s%s;" pad (expr_to_string e) ]
   | Comment c -> [ Printf.sprintf "%s/* %s */" pad c ]
   | Block body ->
       ((pad ^ "{") :: List.concat_map (stmt_lines (indent + 2)) body)

@@ -1,131 +1,30 @@
-open Sf_util
-open Snowflake
-open Sf_backends
+let axis = [| "x"; "y"; "z" |]
 
-let strides_of shape =
-  let n = Array.length shape in
-  let strides = Array.make n 1 in
-  for i = n - 2 downto 0 do
-    strides.(i) <- strides.(i + 1) * shape.(i + 1)
-  done;
-  strides
-
-let dim_name = [| "x"; "y"; "z" |]
-
-(* axis i of the iteration space maps to CUDA dimension (n-1-i) so the
-   innermost axis gets threadIdx.x (coalesced loads) *)
-let kernel_for ~grid_strides ~outputs ~group idx_s idx_r (s : Stencil.t)
-    (rect : Domain.resolved) =
-  let n = Ivec.dims rect.Domain.rlo in
-  if n > 3 then invalid_arg "Cuda_emit: grids are at most rank 3";
-  let cnt = Domain.counts rect in
-  let point = Array.init n (fun i -> C_ast.Var (Lower.loop_var i)) in
-  let gid i =
-    let d = dim_name.(n - 1 - i) in
-    C_ast.Bin
-      ( "+",
-        C_ast.Bin
-          ( "*",
-            C_ast.Var (Printf.sprintf "blockIdx.%s" d),
-            C_ast.Var (Printf.sprintf "blockDim.%s" d) ),
-        C_ast.Var (Printf.sprintf "threadIdx.%s" d) )
-  in
-  let id_decls =
-    List.init n (fun i ->
-        C_ast.Decl ("const long", Printf.sprintf "g%d" i, Some (gid i)))
-  in
-  let coord_decls =
-    List.init n (fun i ->
-        C_ast.Decl
-          ( "const long",
-            Lower.loop_var i,
-            Some
-              (C_ast.add
-                 (C_ast.Int rect.Domain.rlo.(i))
-                 (C_ast.mul
-                    (C_ast.Var (Printf.sprintf "g%d" i))
-                    (C_ast.Int rect.Domain.rstride.(i)))) ))
-  in
-  let guard =
-    List.init n (fun i ->
-        C_ast.Bin ("<", C_ast.Var (Printf.sprintf "g%d" i), C_ast.Int cnt.(i)))
-    |> function
-    | [] -> C_ast.Int 1
-    | c :: cs -> List.fold_left (fun a b -> C_ast.Bin ("&&", a, b)) c cs
-  in
-  let write =
-    C_ast.Assign
-      ( C_ast.Index
-          ( Lower.sanitize s.Stencil.output,
-            Lower.flat_index
-              ~strides:(grid_strides s.Stencil.output)
-              s.Stencil.out_map point ),
-        Lower.expr_to_c ~grid_strides ~point s.Stencil.expr )
-  in
-  C_ast.
+let cuda =
+  Gpu_emit.
     {
-      qualifier = "__global__";
-      ret = "void";
-      fname =
-        Printf.sprintf "k%d_%d_%s" idx_s idx_r
-          (Lower.sanitize s.Stencil.label);
-      params = Lower.func_params group ~output_grids:outputs;
-      body = id_decls @ coord_decls @ [ If (guard, [ write ]) ];
+      compiler = "CUDA";
+      header = "#include <cuda_runtime.h>";
+      kernel = "__global__";
+      space = "";
+      restrict = "__restrict__";
+      global_id =
+        (fun d ->
+          let v f = C_ast.Var (Printf.sprintf "%s.%s" f axis.(d)) in
+          C_ast.(Bin ("+", Bin ("*", v "blockIdx", v "blockDim"), v "threadIdx")));
+      launch =
+        (fun cfg fname -> function
+          | None -> Printf.sprintf "%s<<<1, 1>>>(...);" fname
+          | Some cnt ->
+              let trows, tcols = cfg.Sf_backends.Config.tall_skinny in
+              let block =
+                match Array.length cnt with
+                | 1 -> Printf.sprintf "dim3(%d)" tcols
+                | 2 -> Printf.sprintf "dim3(%d, %d)" tcols trows
+                | _ -> Printf.sprintf "dim3(%d, %d, 1)" tcols trows
+              in
+              Printf.sprintf "%s<<<ceil_div(dim3(%s), %s), %s>>>(...);" fname
+                (Gpu_emit.extents cnt) block block);
     }
 
-let host_driver ~config launches =
-  let trows, tcols = config.Config.tall_skinny in
-  let lines =
-    [
-      "/* Host launcher sketch (single stream => launches are ordered,";
-      "   mirroring the plan's barriers):";
-    ]
-    @ List.map
-        (fun (fname, cnt) ->
-          let dims = Array.to_list cnt in
-          let block =
-            match List.length dims with
-            | 1 -> Printf.sprintf "dim3(%d)" tcols
-            | 2 -> Printf.sprintf "dim3(%d, %d)" tcols trows
-            | _ -> Printf.sprintf "dim3(%d, %d, 1)" tcols trows
-          in
-          let grid =
-            String.concat ", "
-              (List.rev_map string_of_int dims)
-          in
-          Printf.sprintf "     %s<<<ceil_div(dim3(%s), %s), %s>>>(...);"
-            fname grid block block)
-        launches
-    @ [ " */" ]
-  in
-  String.concat "\n" lines
-
-let emit ?(config = Config.default) ~shape ~grid_shapes (group : Group.t) =
-  let grid_strides g = strides_of (grid_shapes g) in
-  let outputs =
-    List.map (fun s -> s.Stencil.output) (Group.stencils group)
-    |> List.sort_uniq String.compare
-  in
-  let funcs = ref [] and launches = ref [] in
-  List.iteri
-    (fun idx_s s ->
-      List.iteri
-        (fun idx_r rect ->
-          let f = kernel_for ~grid_strides ~outputs ~group idx_s idx_r s rect in
-          funcs := f :: !funcs;
-          launches := (f.C_ast.fname, Domain.counts rect) :: !launches)
-        (Domain.resolve ~shape s.Stencil.domain))
-    (Group.stencils group);
-  C_pp.file_to_string
-    ~prelude:
-      [
-        "/* Generated by the Snowflake CUDA micro-compiler.";
-        Printf.sprintf " * group: %s  iteration shape: %s" group.Group.label
-          (Ivec.to_string shape);
-        " */";
-        "#include <cuda_runtime.h>";
-      ]
-    (List.rev !funcs)
-  ^ "\n"
-  ^ host_driver ~config (List.rev !launches)
-  ^ "\n"
+let emit = Gpu_emit.emit cuda

@@ -1,20 +1,8 @@
 (** CUDA C emission — the micro-compiler the paper lists as future work
     (§VII: "explore the creation of CUDA, OpenACC, or OpenMP 4
-    micro-compilers"), demonstrating that the narrow front-end/back-end
-    interface makes a new target an emitter-sized job.
+    micro-compilers"): {!Gpu_emit} in the CUDA dialect — [__global__]
+    kernels over [__restrict__] pointers (nvcc compiles C++, which has no
+    [restrict]), thread ids from [blockIdx * blockDim + threadIdx], and a
+    host sketch of [<<<grid, block>>>] launches on one stream. *)
 
-    One [__global__] kernel per (stencil, rect); thread indices map to
-    lattice coordinates through [blockIdx * blockDim + threadIdx] with a
-    range guard; a host launcher sketch records the launch order (one
-    stream, so consecutive launches are ordered, mirroring the barrier
-    placement).  Rank ≤ 3 (CUDA grid limit). *)
-
-open Sf_util
-open Snowflake
-
-val emit :
-  ?config:Sf_backends.Config.t ->
-  shape:Ivec.t ->
-  grid_shapes:(string -> Ivec.t) ->
-  Group.t ->
-  string
+val emit : Lower.emitter

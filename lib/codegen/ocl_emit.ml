@@ -1,139 +1,25 @@
-open Sf_util
-open Snowflake
-open Sf_backends
-
-let strides_of shape =
-  let n = Array.length shape in
-  let strides = Array.make n 1 in
-  for i = n - 2 downto 0 do
-    strides.(i) <- strides.(i + 1) * shape.(i + 1)
-  done;
-  strides
-
-(* One kernel per (stencil, rect): global ids map to lattice coordinates.
-   OpenCL enumerates ids innermost-first (dimension 0 fastest), so axis i of
-   the iteration space becomes NDRange dimension (n-1-i). *)
-let kernel_for ~grid_strides ~outputs ~group idx_s idx_r (s : Stencil.t)
-    (rect : Domain.resolved) =
-  let n = Ivec.dims rect.Domain.rlo in
-  if n > 3 then
-    invalid_arg "Ocl_emit: OpenCL NDRange supports at most rank 3";
-  let cnt = Domain.counts rect in
-  let point =
-    Array.init n (fun i -> C_ast.Var (Lower.loop_var i))
-  in
-  let id_decls =
-    List.init n (fun i ->
-        C_ast.Decl
-          ( "const long",
-            Printf.sprintf "g%d" i,
-            Some (C_ast.Call ("get_global_id", [ C_ast.Int (n - 1 - i) ])) ))
-  in
-  let coord_decls =
-    List.init n (fun i ->
-        C_ast.Decl
-          ( "const long",
-            Lower.loop_var i,
-            Some
-              (C_ast.add
-                 (C_ast.Int rect.Domain.rlo.(i))
-                 (C_ast.mul
-                    (C_ast.Var (Printf.sprintf "g%d" i))
-                    (C_ast.Int rect.Domain.rstride.(i)))) ))
-  in
-  let guard =
-    let clauses =
-      List.init n (fun i ->
-          C_ast.Bin
-            ("<", C_ast.Var (Printf.sprintf "g%d" i), C_ast.Int cnt.(i)))
-    in
-    match clauses with
-    | [] -> C_ast.Int 1
-    | c :: cs -> List.fold_left (fun a b -> C_ast.Bin ("&&", a, b)) c cs
-  in
-  let write =
-    C_ast.Assign
-      ( C_ast.Index
-          ( Lower.sanitize s.Stencil.output,
-            Lower.flat_index
-              ~strides:(grid_strides s.Stencil.output)
-              s.Stencil.out_map point ),
-        Lower.expr_to_c ~grid_strides ~point s.Stencil.expr )
-  in
-  let params =
-    List.map
-      (fun (p : C_ast.param) ->
-        let ctype =
-          if String.length p.ctype >= 5 && String.sub p.ctype 0 5 = "const"
-          then
-            if p.ctype = "const double" then p.ctype
-            else "__global " ^ p.ctype
-          else "__global " ^ p.ctype
-        in
-        { p with C_ast.ctype })
-      (Lower.func_params group ~output_grids:outputs)
-  in
-  C_ast.
+let opencl =
+  Gpu_emit.
     {
-      qualifier = "__kernel";
-      ret = "void";
-      fname =
-        Printf.sprintf "k%d_%d_%s" idx_s idx_r (Lower.sanitize s.Stencil.label);
-      params;
-      body = id_decls @ coord_decls @ [ If (guard, [ write ]) ];
+      compiler = "OpenCL";
+      header = "#pragma OPENCL EXTENSION cl_khr_fp64 : enable";
+      kernel = "__kernel";
+      space = "__global ";
+      restrict = "restrict";
+      global_id = (fun d -> C_ast.Call ("get_global_id", [ C_ast.Int d ]));
+      launch =
+        (fun cfg fname -> function
+          | None ->
+              Printf.sprintf
+                "clEnqueueNDRangeKernel(queue, %s, /*global=*/{1}, \
+                 /*local=*/{1});"
+                fname
+          | Some cnt ->
+              let trows, tcols = cfg.Sf_backends.Config.tall_skinny in
+              Printf.sprintf
+                "clEnqueueNDRangeKernel(queue, %s, /*global=*/{%s}, \
+                 /*local(tall-skinny)=*/{%d, %d, 1});"
+                fname (Gpu_emit.extents cnt) tcols trows);
     }
 
-let host_driver ~config enqueues =
-  let trows, tcols = config.Config.tall_skinny in
-  let lines =
-    [
-      "/* Host driver sketch (in-order command queue => implicit barrier";
-      "   between consecutive enqueues, as in the paper's backend):";
-    ]
-    @ List.concat_map
-        (fun (fname, cnt) ->
-          let global =
-            String.concat ", "
-              (List.rev (List.map string_of_int (Array.to_list cnt)))
-          in
-          [
-            Printf.sprintf
-              "     clEnqueueNDRangeKernel(queue, %s, /*global=*/{%s}, \
-               /*local(tall-skinny)=*/{%d, %d, 1});"
-              fname global tcols trows;
-          ])
-        enqueues
-    @ [ " */" ]
-  in
-  String.concat "\n" lines
-
-let emit ?(config = Config.default) ~shape ~grid_shapes (group : Group.t) =
-  let grid_strides g = strides_of (grid_shapes g) in
-  let outputs =
-    List.map (fun s -> s.Stencil.output) (Group.stencils group)
-    |> List.sort_uniq String.compare
-  in
-  let funcs = ref [] and enqueues = ref [] in
-  List.iteri
-    (fun idx_s s ->
-      let rects = Domain.resolve ~shape s.Stencil.domain in
-      List.iteri
-        (fun idx_r rect ->
-          let f =
-            kernel_for ~grid_strides ~outputs ~group idx_s idx_r s rect
-          in
-          funcs := f :: !funcs;
-          enqueues := (f.C_ast.fname, Domain.counts rect) :: !enqueues)
-        rects)
-    (Group.stencils group);
-  C_pp.file_to_string
-    ~prelude:
-      [
-        "/* Generated by the Snowflake OpenCL micro-compiler.";
-        Printf.sprintf " * group: %s  iteration shape: %s" group.Group.label
-          (Ivec.to_string shape);
-        " */";
-        "#pragma OPENCL EXTENSION cl_khr_fp64 : enable";
-      ]
-    (List.rev !funcs)
-  ^ "\n" ^ host_driver ~config (List.rev !enqueues) ^ "\n"
+let emit = Gpu_emit.emit opencl

@@ -1,21 +1,6 @@
-(** OpenCL C source emission (paper §IV.B).
+(** OpenCL C source emission (paper §IV.B): {!Gpu_emit} in the OpenCL
+    dialect — [__kernel] functions over [__global] grids, work-items from
+    [get_global_id], and a host sketch of [clEnqueueNDRangeKernel] calls
+    with the tall-skinny local size. *)
 
-    Each (stencil, rect) pair becomes one [__kernel]: the NDRange enumerates
-    the rect's lattice points per axis, the kernel maps global ids back to
-    lattice coordinates ([lo + gid*stride]) and guards the tail.  A host
-    driver sketch (enqueue order, global/local sizes with the tall-skinny
-    local shape, and the barriers implied by the in-order queue) is emitted
-    as a trailing comment so the generated file is self-describing.
-
-    Supports iteration ranks 1–3 (OpenCL NDRange limit); higher ranks raise
-    [Invalid_argument]. *)
-
-open Sf_util
-open Snowflake
-
-val emit :
-  ?config:Sf_backends.Config.t ->
-  shape:Ivec.t ->
-  grid_shapes:(string -> Ivec.t) ->
-  Group.t ->
-  string
+val emit : Lower.emitter

@@ -1,20 +1,11 @@
 (** C + OpenMP source emission (paper §IV.A).
 
     Produces a complete C99 translation unit for a stencil group: one
-    function whose body is the wave schedule — each stencil tile an
-    [#pragma omp task], each inter-wave barrier an [#pragma omp taskwait].
-    The plan (waves, tiles, sequential fallbacks) is the *same one* the
-    executable OpenMP backend runs, so the emitted code is a faithful
-    transcription of what this repository actually executes and measures. *)
+    function printing the [Openmp] plan of [Jit.lower] — each plan task an
+    [#pragma omp task], each wave closed by an [#pragma omp taskwait].
+    It is the plan the executable OpenMP backend certifies and runs
+    (fusion and sequential fallbacks included), so the emitted code is a
+    faithful transcription of what this repository executes and
+    measures. *)
 
-open Sf_util
-open Snowflake
-
-val emit :
-  ?config:Sf_backends.Config.t ->
-  shape:Ivec.t ->
-  grid_shapes:(string -> Ivec.t) ->
-  Group.t ->
-  string
-(** [shape] is the iteration-space shape; [grid_shapes] gives each grid's
-    allocated shape (for stride literals). *)
+val emit : Lower.emitter

@@ -1,45 +1,12 @@
-open Sf_util
-open Snowflake
+open Sf_backends
 
-let strides_of shape =
-  let n = Array.length shape in
-  let strides = Array.make n 1 in
-  for i = n - 2 downto 0 do
-    strides.(i) <- strides.(i + 1) * shape.(i + 1)
-  done;
-  strides
-
-let emit ~shape ~grid_shapes (group : Group.t) =
-  let grid_strides g = strides_of (grid_shapes g) in
-  let body =
-    List.concat_map
-      (fun s ->
-        C_ast.Comment (Printf.sprintf "stencil %s" s.Stencil.label)
-        :: List.concat_map
-             (Lower.rect_loops ~grid_strides s)
-             (Domain.resolve ~shape s.Stencil.domain))
-      (Group.stencils group)
+let emit ~shape ~grid_shapes group =
+  let t = Lower.prepare Jit.Compiled ~shape ~grid_shapes group in
+  let task tk =
+    C_ast.Comment ("stencil " ^ Plan.task_label tk)
+    :: Lower.task_loops ~grid_strides:t.Lower.strides tk
   in
-  let outputs =
-    List.map (fun s -> s.Stencil.output) (Group.stencils group)
-    |> List.sort_uniq String.compare
-  in
-  let f =
-    C_ast.
-      {
-        qualifier = "";
-        ret = "void";
-        fname = Lower.sanitize group.Group.label;
-        params = Lower.func_params group ~output_grids:outputs;
-        body;
-      }
-  in
+  let wave (w : Plan.wave) = List.concat_map task (Array.to_list w.tasks) in
   C_pp.file_to_string
-    ~prelude:
-      [
-        "/* Generated by the Snowflake sequential-C micro-compiler.";
-        Printf.sprintf " * group: %s  iteration shape: %s" group.Group.label
-          (Ivec.to_string shape);
-        " */";
-      ]
-    [ f ]
+    ~prelude:(Lower.banner t ~compiler:"sequential-C")
+    [ Lower.host_func t (List.concat_map wave t.Lower.plan.Plan.waves) ]

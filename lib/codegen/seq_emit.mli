@@ -1,8 +1,7 @@
 (** Plain sequential C99 emission — the paper's "sequential C"
-    micro-compiler.  Stencils run in program order, rects in union order;
-    no pragmas, no tiling: the reference translation a user can read
-    top-to-bottom and the baseline the parallel emitters are diffed
-    against in tests. *)
+    micro-compiler.  Prints the [Compiled] plan: stencils in program
+    order, rects in union order; no pragmas, no tiling: the reference
+    translation a user can read top-to-bottom. *)
 
 open Sf_util
 open Snowflake

@@ -34,6 +34,10 @@ let append a b = make ~label:(a.label ^ "+" ^ b.label) (a.stencils @ b.stencils)
 let grids t =
   List.concat_map Stencil.grids t.stencils |> List.sort_uniq String.compare
 
+let outputs t =
+  List.map (fun s -> s.Stencil.output) t.stencils
+  |> List.sort_uniq String.compare
+
 let params t =
   List.concat_map (fun s -> Expr.params s.Stencil.expr) t.stencils
   |> List.sort_uniq String.compare

@@ -19,6 +19,9 @@ val append : t -> t -> t
 val grids : t -> string list
 (** All grids touched by any member stencil, sorted, deduplicated. *)
 
+val outputs : t -> string list
+(** The grids some member stencil writes, sorted, deduplicated. *)
+
 val params : t -> string list
 
 val equal : t -> t -> bool

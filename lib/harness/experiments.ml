@@ -490,7 +490,8 @@ let run_fusion opts =
   let points = float_of_int (n * n) in
   let t =
     Tabular.create
-      ~headers:[ "fusion"; "stencils after opt"; "time"; "points/s" ]
+      ~headers:
+        [ "inline_producers"; "stencils after opt"; "time"; "points/s" ]
   in
   List.iter
     (fun (label, config) ->
@@ -510,7 +511,11 @@ let run_fusion opts =
     [
       ("off", Config.default);
       ( "on (+DCE, out live)",
-        { Config.default with fuse = true; dce = Config.Dce [ "out" ] } );
+        {
+          Config.default with
+          inline_producers = true;
+          dce = Config.Dce [ "out" ];
+        } );
     ];
   emit_table "fusion" t;
   Printf.printf

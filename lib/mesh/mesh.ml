@@ -2,14 +2,6 @@ open Sf_util
 
 type t = { shape : Ivec.t; strides : Ivec.t; data : floatarray }
 
-let compute_strides shape =
-  let n = Array.length shape in
-  let strides = Array.make n 1 in
-  for i = n - 2 downto 0 do
-    strides.(i) <- strides.(i + 1) * shape.(i + 1)
-  done;
-  strides
-
 let create shape =
   if Array.length shape = 0 then invalid_arg "Mesh.create: empty shape";
   Array.iter
@@ -18,7 +10,7 @@ let create shape =
   let size = Ivec.product shape in
   {
     shape = Array.copy shape;
-    strides = compute_strides shape;
+    strides = Ivec.strides shape;
     data = Float.Array.make size 0.;
   }
 

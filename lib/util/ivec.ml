@@ -49,6 +49,14 @@ let linf_norm a = Array.fold_left (fun acc x -> max acc (abs x)) 0 a
 let is_zero a = Array.for_all (fun x -> x = 0) a
 let product a = Array.fold_left ( * ) 1 a
 
+let strides shape =
+  let n = Array.length shape in
+  let s = Array.make n 1 in
+  for i = n - 2 downto 0 do
+    s.(i) <- s.(i + 1) * shape.(i + 1)
+  done;
+  s
+
 let hash a =
   (* FNV-style fold; good enough for hashtable keys over small vectors. *)
   Array.fold_left (fun acc x -> (acc * 1000003) lxor (x + 0x9e37)) 17 a

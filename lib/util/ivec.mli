@@ -44,6 +44,10 @@ val is_zero : t -> bool
 val product : t -> int
 (** Product of the entries, e.g. the number of points of a shape. *)
 
+val strides : t -> t
+(** Row-major strides of a shape: point [p] sits at flat index
+    [dot (strides shape) p]. *)
+
 val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -1046,9 +1046,13 @@ let test_fuse_pass_same_output () =
     Grids.find grids "out"
   in
   let plain = run Config.default in
-  let fused_result = run { Config.default with fuse = true } in
+  let config = { Config.default with inline_producers = true } in
+  let fused_result = run config in
   check_bool "fusion preserves results" true
-    (Mesh.close ~ulps:0 plain fused_result)
+    (Mesh.close ~ulps:0 plain fused_result);
+  (* the plan Jit.lower returns is the optimised one compile runs *)
+  check_int "lowered plan is inlined" 1
+    (Group.length (Jit.lower ~config Jit.Compiled ~shape g).Plan.group)
 
 let test_fuse_pass_respects_liveness () =
   let shape = iv [ 10 ] in

@@ -263,6 +263,143 @@ let test_cuda_rank_limit () =
     Alcotest.fail "rank 4 accepted"
   with Invalid_argument _ -> ()
 
+(* ---------------------------------------------- emitters print the plan *)
+
+let gs_group () =
+  Group.make ~label:"g"
+    [
+      Stencil.make ~label:"gs" ~output:"u"
+        ~expr:Expr.(read "u" (iv [ -1 ]) +: read "u" (iv [ 1 ]))
+        ~domain:(Domain.interior 1 ~ghost:1)
+        ();
+    ]
+
+(* the executed OpenCL plan runs an in-place Gauss-Seidel as one
+   sequential task, so its kernel must be a single work-item *)
+let test_gpu_inplace_single_item () =
+  let shape = iv [ 32 ] in
+  let grid_shapes _ = shape in
+  let ocl = Ocl_emit.emit ~shape ~grid_shapes (gs_group ()) in
+  check_int "one kernel" 1 (count_occurrences ocl "__kernel void");
+  check_bool "global size 1" true (contains ocl "/*global=*/{1}");
+  check_bool "no work-item ids" false (contains ocl "get_global_id");
+  check_bool "loops the rect" true (contains ocl "for (long i0 = 1; i0 < 31");
+  let cuda = Cuda_emit.emit ~shape ~grid_shapes (gs_group ()) in
+  check_int "one cuda kernel" 1 (count_occurrences cuda "__global__ void");
+  check_bool "<<<1, 1>>>" true (contains cuda "<<<1, 1>>>")
+
+(* a two-stencil pointwise chain: fusible under Config.fusion *)
+let chain_group () =
+  let mk label output expr =
+    Stencil.make ~label ~output ~expr ~domain:(Domain.interior 1 ~ghost:1) ()
+  in
+  Group.make ~label:"chain"
+    [
+      mk "scale" "tmp" Expr.(const 2. *: read "u" (iv [ 0 ]));
+      mk "shift" "out" Expr.(read "tmp" (iv [ 0 ]) +: read "u" (iv [ 0 ]));
+    ]
+
+let fused_config =
+  { Sf_backends.Config.default with fusion = true; tile = Some [ 16 ] }
+
+let test_omp_tasks_match_plan () =
+  let case name config shape group ~tasks ~waves =
+    let plan =
+      Sf_backends.Jit.lower ~config Sf_backends.Jit.Openmp ~shape group
+    in
+    let plan_tasks =
+      List.fold_left
+        (fun n (w : Sf_backends.Plan.wave) -> n + Array.length w.tasks)
+        0 plan.Sf_backends.Plan.waves
+    in
+    let src =
+      Omp_emit.emit ~config ~shape ~grid_shapes:(fun _ -> shape) group
+    in
+    check_int (name ^ ": omp tasks = plan tasks") plan_tasks
+      (count_occurrences src "#pragma omp task\n");
+    check_int (name ^ ": taskwaits = plan waves")
+      (List.length plan.Sf_backends.Plan.waves)
+      (count_occurrences src "#pragma omp taskwait");
+    Option.iter (check_int (name ^ ": tasks") plan_tasks) tasks;
+    Option.iter (check_int (name ^ ": waves") (List.length plan.waves)) waves
+  in
+  case "gsrb2d" Sf_backends.Config.default (iv [ 10; 10 ]) (gsrb_2d ())
+    ~tasks:None ~waves:(Some 2);
+  case "fused chain" fused_config (iv [ 64 ]) (chain_group ()) ~tasks:(Some 4)
+    ~waves:(Some 1)
+
+(* a fused OpenCL wave is one kernel running both members per point *)
+let test_gpu_fused_wave () =
+  let shape = iv [ 64 ] in
+  let src =
+    Ocl_emit.emit ~config:fused_config ~shape ~grid_shapes:(fun _ -> shape)
+      (chain_group ())
+  in
+  check_int "one kernel" 1 (count_occurrences src "__kernel void");
+  check_bool "both members" true
+    (contains src "tmp[i0] =" && contains src "out[i0] =")
+
+let expect_clash name ~needles f =
+  match f () with
+  | _ -> Alcotest.failf "%s: emitted despite the clash" name
+  | exception Invalid_argument msg ->
+      List.iter
+        (fun n ->
+          check_bool (Printf.sprintf "%s names %s" name n) true (contains msg n))
+        needles
+
+let test_names_injective () =
+  let s =
+    Stencil.make ~label:"s" ~output:"a_b"
+      ~expr:(Expr.read "a.b" (iv [ 0 ]))
+      ~domain:(Domain.interior 1 ~ghost:0)
+      ()
+  in
+  let shape = iv [ 8 ] in
+  expect_clash "a.b/a_b" ~needles:[ "\"a.b\""; "\"a_b\"" ] (fun () ->
+      Seq_emit.emit ~shape ~grid_shapes:(fun _ -> shape)
+        (Group.make ~label:"g" [ s ]))
+
+let test_names_loop_counter () =
+  let s =
+    Stencil.make ~label:"s" ~output:"out"
+      ~expr:Expr.(read "u" (iv [ 0 ]) *: param "i0")
+      ~domain:(Domain.interior 1 ~ghost:0)
+      ()
+  in
+  let shape = iv [ 8 ] in
+  expect_clash "param i0" ~needles:[ "parameter \"i0\""; "loop counter i0" ]
+    (fun () ->
+      Omp_emit.emit ~shape ~grid_shapes:(fun _ -> shape)
+        (Group.make ~label:"g" [ s ]))
+
+let test_names_gpu_ids () =
+  let s =
+    Stencil.make ~label:"s" ~output:"out"
+      ~expr:(Expr.read "g0" (iv [ 0 ]))
+      ~domain:(Domain.interior 1 ~ghost:0)
+      ()
+  in
+  let shape = iv [ 8 ] in
+  List.iter
+    (fun (name, emit) ->
+      expect_clash name ~needles:[ "grid \"g0\""; "work-item id g0" ] (fun () ->
+          emit ~shape
+            ~grid_shapes:(fun _ -> shape)
+            (Group.make ~label:"g" [ s ])))
+    [
+      ("opencl", Ocl_emit.emit ?config:None);
+      ("cuda", Cuda_emit.emit ?config:None);
+    ]
+
+(* nvcc compiles .cu as C++, which has no [restrict] *)
+let test_cuda_restrict () =
+  let shape = iv [ 10; 10 ] in
+  let src = Cuda_emit.emit ~shape ~grid_shapes:(fun _ -> shape) (gsrb_2d ()) in
+  check_int "every kernel's grid is __restrict__" 4
+    (count_occurrences src "double * __restrict__ mesh");
+  check_bool "no C99 restrict" false (contains src "* restrict ")
+
 (* every emitter handles the full HPGMG smoother without raising, and the
    outputs stay consistent in their read taps *)
 let test_emitters_on_hpgmg_gsrb () =
@@ -316,6 +453,21 @@ let () =
         [
           Alcotest.test_case "structure" `Quick test_cuda_emit;
           Alcotest.test_case "rank limit" `Quick test_cuda_rank_limit;
+          Alcotest.test_case "restrict spelling" `Quick test_cuda_restrict;
+        ] );
+      ( "plan",
+        [
+          Alcotest.test_case "gpu in-place single work-item" `Quick
+            test_gpu_inplace_single_item;
+          Alcotest.test_case "omp tasks match plan" `Quick
+            test_omp_tasks_match_plan;
+          Alcotest.test_case "gpu fused wave" `Quick test_gpu_fused_wave;
+        ] );
+      ( "names",
+        [
+          Alcotest.test_case "sanitize injective" `Quick test_names_injective;
+          Alcotest.test_case "loop counter" `Quick test_names_loop_counter;
+          Alcotest.test_case "gpu ids" `Quick test_names_gpu_ids;
         ] );
       ( "cross-emitter",
         [
