@@ -568,9 +568,6 @@ let prepare_compiled grids ~params (s : Stencil.t) =
         if not (Domain.is_empty rect) then
           run_rect_closure grids ~params s rect
 
-let run_rect_compiled grids ~params s rect =
-  (prepare_compiled grids ~params s) rect ()
-
 let validate_stencil grids ~shape (s : Stencil.t) =
   let n = Ivec.dims shape in
   List.iter

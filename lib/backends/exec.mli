@@ -42,10 +42,6 @@ val prepare_compiled :
     stencil's structure is promoted to the native tier.  Thunks for
     distinct tiles may run concurrently; one thunk is not reentrant. *)
 
-val run_rect_compiled :
-  Grids.t -> params:(string -> float) -> Stencil.t -> Domain.resolved -> unit
-(** [prepare_compiled] + immediate single-tile run (test convenience). *)
-
 val validate_stencil : Grids.t -> shape:Sf_util.Ivec.t -> Stencil.t -> unit
 (** Checks that every touched grid exists, ranks agree with the iteration
     shape, and all accesses stay in bounds; raises [Invalid_argument] with a

@@ -665,60 +665,24 @@ let run_pool opts =
     Tabular.create
       ~headers:[ "workers"; "task"; "spawn/wave"; "pool/wave"; "speedup" ]
   in
-  let rows = ref [] in
   for w = 1 to max_w do
     let pool = Pool.create ~workers:w in
     List.iter
       (fun (kind, tasks) ->
         let t_spawn = per_wave (fun () -> spawn_per_wave w tasks) in
         let t_pool = per_wave (fun () -> Pool.run_tasks pool tasks) in
-        let speedup = t_spawn /. t_pool in
-        rows := (w, kind, t_spawn, t_pool, speedup) :: !rows;
         Tabular.add_row t
           [
             string_of_int w;
             kind;
             us t_spawn;
             us t_pool;
-            Printf.sprintf "%.1fx" speedup;
+            Printf.sprintf "%.1fx" (t_spawn /. t_pool);
           ])
       [ ("empty", empty_tasks w); ("16^3", work_tasks w) ]
   done;
-  let rows = List.rev !rows in
   emit_table "pool" t;
-  report_counters ();
-  (* persist the dispatch-overhead trajectory for the perf history *)
-  let headline =
-    List.fold_left
-      (fun acc (w, kind, _, _, s) ->
-        if w = max_w && kind = "empty" then s else acc)
-      1.0 rows
-  in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"benchmark\": \"pool-dispatch\",\n";
-  Printf.bprintf buf "  \"joins_per_sample\": %d,\n" joins;
-  Printf.bprintf buf "  \"workers_max\": %d,\n" max_w;
-  Printf.bprintf buf "  \"rows\": [\n";
-  List.iteri
-    (fun i (w, kind, t_spawn, t_pool, speedup) ->
-      Printf.bprintf buf
-        "    {\"workers\": %d, \"task\": %S, \"spawn_per_wave_us\": %.3f, \
-         \"persistent_pool_us\": %.3f, \"speedup\": %.2f}%s\n"
-        w kind (t_spawn *. 1e6) (t_pool *. 1e6) speedup
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.bprintf buf "  ],\n";
-  Printf.bprintf buf
-    "  \"dispatch_speedup_empty_at_max_workers\": %.2f\n" headline;
-  Buffer.add_string buf "}\n";
-  let oc = open_out "BENCH_pool.json" in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  Printf.printf
-    "[BENCH_pool.json written: empty-wave dispatch %.1fx faster than \
-     spawn-per-wave at %d workers]\n"
-    headline max_w
+  report_counters ()
 
 (* F1: the tentpole perf experiment — unfused vs fused-config vs
    temporally-blocked 4-sweep GSRB.  GSRB's colour sweeps are provably

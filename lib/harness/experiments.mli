@@ -63,8 +63,8 @@ val run_distributed : opts -> unit
 val run_pool : opts -> unit
 (** P0: per-wave dispatch latency of the persistent worker-domain pool vs
     the seed's spawn-per-wave executor, for 1..workers and both empty and
-    16³-point waves.  Writes [BENCH_pool.json] into the working directory
-    so the orchestration-overhead trajectory is tracked across PRs. *)
+    16³-point waves.  Prints its table only; the tracked dispatch figure
+    is perfbench's [pool.dispatch_us] row. *)
 
 val run_fusion_bench : opts -> unit
 (** F1: unfused vs fused-config vs temporally-blocked 4-sweep GSRB at

@@ -26,9 +26,18 @@ let default_config =
     interp = Constant;
   }
 
+type groups = {
+  smoother : Group.t;
+  residual : Group.t;
+  dinv : Group.t;
+  restrict : Group.t;
+  interp : Group.t;
+}
+
 type t = {
   levels : Level.t array;
   config : config;
+  groups : groups;
   timers : (string, float ref) Hashtbl.t;
   mutable active_backend : Jit.backend;
       (* starts at config.backend; demoted down the failover chain by
@@ -84,21 +93,46 @@ let profile t =
 
 let reset_profile t = Hashtbl.reset t.timers
 
-(* Stencil groups reused across levels; resolution against each level's
-   shape happens at JIT time, so one definition serves the whole
-   hierarchy — the language property §II.A calls out. *)
-let residual_group =
-  Group.make ~label:"residual"
-    (Operators.boundaries ~grid:"u" @ [ Operators.residual_vc ])
-
-let dinv_group = Group.make ~label:"dinv" [ Operators.dinv_setup ]
-let restrict_group = Group.make ~label:"restrict" [ Operators.restriction ]
-
-let interp_group = function
-  | Constant -> Group.make ~label:"interp_pc" Operators.interpolation
-  | Linear ->
-      Group.make ~label:"interp_tl"
-        (Operators.boundaries ~grid:"coarse_u" @ Operators.interpolation_linear)
+(* Stencil groups built once per solver, at its rank, and reused across
+   levels; resolution against each level's shape happens at JIT time, so
+   one definition serves the whole hierarchy — the language property
+   §II.A calls out.  Gsrb4, Chebyshev and trilinear interpolation exist
+   only in 3-D ({!Operators}). *)
+let make_groups ~dims (config : config) =
+  let only_3d what =
+    if dims <> 3 then
+      invalid_arg
+        (Printf.sprintf "Mg.create: %s is 3-D only (dims = %d)" what dims)
+  in
+  let smoother =
+    match config.smoother with
+    | Gsrb -> Nd.gsrb_smooth ~dims
+    | Jacobi -> Nd.jacobi_smooth ~dims
+    | Gsrb4 ->
+        only_3d "the Gsrb4 smoother";
+        Operators.gsrb4_smooth
+    | Chebyshev degree ->
+        only_3d "the Chebyshev smoother";
+        Operators.chebyshev_smooth ~degree
+  in
+  let interp =
+    match config.interp with
+    | Constant -> Group.make ~label:"interp_pc" (Nd.interpolation ~dims)
+    | Linear ->
+        only_3d "Linear interpolation";
+        Group.make ~label:"interp_tl"
+          (Operators.boundaries ~grid:"coarse_u"
+          @ Operators.interpolation_linear)
+  in
+  {
+    smoother;
+    residual =
+      Group.make ~label:"residual"
+        (Nd.boundaries ~dims ~grid:"u" @ [ Nd.residual_vc ~dims ]);
+    dinv = Group.make ~label:"dinv" [ Nd.dinv_setup ~dims ];
+    restrict = Group.make ~label:"restrict" [ Nd.restriction ~dims ];
+    interp;
+  }
 
 (* Kernels come from the supervised compiler against the *active*
    backend: on a clean run this is exactly Jit.compile (the supervised
@@ -132,7 +166,15 @@ let demote_backend t =
       true
   | _ -> false
 
-let create ?(config = default_config) ~n () =
+let init_dinv t =
+  Array.iter
+    (fun level ->
+      let kernel = compile t t.groups.dinv ~shape:level.Level.shape in
+      kernel.Kernel.run ~params:(Level.params level) level.Level.grids)
+    t.levels
+
+let create ?(config = default_config) ?(dims = 3) ~n () =
+  let groups = make_groups ~dims config in
   let rec sizes acc n =
     if n = config.coarsest_n then List.rev (n :: acc)
     else if n < config.coarsest_n || n mod 2 <> 0 then
@@ -142,59 +184,31 @@ let create ?(config = default_config) ~n () =
     else sizes (n :: acc) (n / 2)
   in
   let levels =
-    Array.of_list (List.map (fun n -> Level.create ~n) (sizes [] n))
+    Array.of_list (List.map (fun n -> Level.create_nd ~dims ~n) (sizes [] n))
   in
   let t =
     {
       levels;
       config;
+      groups;
       timers = Hashtbl.create 32;
       active_backend = config.backend;
     }
   in
   (* betas default to 1; dinv must still be initialised *)
-  let init_dinv_level level =
-    let kernel = compile t dinv_group ~shape:level.Level.shape in
-    kernel.Kernel.run ~params:(Level.params level) level.Level.grids
-  in
-  Array.iter init_dinv_level levels;
+  init_dinv t;
   t
-
-let init_dinv t =
-  Array.iter
-    (fun level ->
-      let kernel = compile t dinv_group ~shape:level.Level.shape in
-      kernel.Kernel.run ~params:(Level.params level) level.Level.grids)
-    t.levels
 
 let set_beta t beta =
   Array.iter (fun level -> Level.set_beta level beta) t.levels;
   init_dinv t
 
-let smoother_group = function
-  | Gsrb -> Operators.gsrb_smooth
-  | Gsrb4 -> Operators.gsrb4_smooth
-  | Jacobi -> Operators.jacobi_smooth
-  | Chebyshev degree -> Operators.chebyshev_smooth ~degree
-
-let smoother_params config level =
+let smoother_params (config : config) level =
   match config.smoother with
   | Gsrb | Gsrb4 | Jacobi -> Level.params level
   | Chebyshev degree ->
       Operators.chebyshev_params ~level_h:level.Level.h ~lambda_lo_frac:0.1
         ~degree
-
-let smooth_untimed t i =
-  let level = t.levels.(i) in
-  let kernel =
-    compile t (smoother_group t.config.smoother) ~shape:level.Level.shape
-  in
-  kernel.Kernel.run
-    ~params:(smoother_params t.config level)
-    level.Level.grids
-
-let smooth t i =
-  timed t (Printf.sprintf "smooth L%d" i) (fun () -> smooth_untimed t i)
 
 (* [count] consecutive smoother applications, temporally blocked when the
    jit config asks for it ([Config.time_tile] = depth k) and the smoother
@@ -202,61 +216,48 @@ let smooth t i =
    kernel each (k sweeps for ~one pass of memory traffic, results bitwise
    identical to k plain smooths), the remainder as plain smooths.  An
    untileable smoother silently degrades to plain smooths — the knob is a
-   performance request, never a semantics change. *)
+   performance request, never a semantics change.  Returns each kernel
+   with its number of invocations. *)
+let smooth_kernels t i ~count =
+  let shape = t.levels.(i).Level.shape in
+  let group = t.groups.smoother in
+  let k = t.config.jit.Config.time_tile in
+  let plain times = (compile t group ~shape, times) in
+  if k > 1 && count >= k && Timetile.legal ~shape group then
+    ( Jit.compile_time_tiled ~config:t.config.jit ~reps:k t.active_backend
+        ~shape group,
+      count / k )
+    :: (if count mod k = 0 then [] else [ plain (count mod k) ])
+  else [ plain count ]
+
 let smooth_steps_untimed t i ~count =
   let level = t.levels.(i) in
-  let shape = level.Level.shape in
-  let group = smoother_group t.config.smoother in
-  let k = t.config.jit.Config.time_tile in
-  let tiled =
-    if k > 1 && count >= k && Timetile.legal ~shape group then k else 1
-  in
-  if tiled > 1 then begin
-    let kernel =
-      Jit.compile_time_tiled ~config:t.config.jit ~reps:tiled t.active_backend
-        ~shape group
-    in
-    let params = smoother_params t.config level in
-    for _ = 1 to count / tiled do
-      kernel.Kernel.run ~params level.Level.grids
-    done;
-    for _ = 1 to count mod tiled do
-      smooth_untimed t i
-    done
-  end
-  else
-    for _ = 1 to count do
-      smooth_untimed t i
-    done
+  let params = smoother_params t.config level in
+  List.iter
+    (fun (kernel, times) ->
+      for _ = 1 to times do
+        kernel.Kernel.run ~params level.Level.grids
+      done)
+    (smooth_kernels t i ~count)
 
 let smooth_steps t i ~count =
   timed t
     (Printf.sprintf "smooth L%d" i)
     (fun () -> smooth_steps_untimed t i ~count)
 
-(* the finest-level smoother plan, for [--profile] reports *)
+let smooth t i = smooth_steps t i ~count:1
+
+(* what one pre- or post-smooth runs on the finest level, for [--profile]
+   reports: the descriptions of the very kernels [smooth_steps] calls *)
 let smoother_plan t =
-  let level = finest t in
-  let shape = level.Level.shape in
-  let group = smoother_group t.config.smoother in
-  let cfg = t.config.jit in
-  let fusion =
-    if cfg.Config.fusion then
-      "fusion " ^ Fusion.describe (Fusion.partition cfg ~shape group)
-    else "fusion off"
-  in
-  let temporal =
-    if cfg.Config.time_tile > 1 then
-      match Timetile.plan cfg ~shape ~reps:cfg.Config.time_tile group with
-      | Some p -> Timetile.describe p
-      | None -> Printf.sprintf "time depth %d (illegal: plain loop)" cfg.Config.time_tile
-    else "time depth 1"
-  in
-  Printf.sprintf "%s; %s" fusion temporal
+  smooth_kernels t 0 ~count:t.config.smooths
+  |> List.map (fun (kernel, times) ->
+         Printf.sprintf "%d x [%s]" times kernel.Kernel.description)
+  |> String.concat " then "
 
 let compute_residual t i =
   let level = t.levels.(i) in
-  let kernel = compile t residual_group ~shape:level.Level.shape in
+  let kernel = compile t t.groups.residual ~shape:level.Level.shape in
   timed t
     (Printf.sprintf "residual L%d" i)
     (fun () ->
@@ -266,15 +267,14 @@ let compute_residual t i =
    grids "fine_res"/"coarse_f"; binding them per call is the Snowflake
    idiom for cross-level operators. *)
 let restrict_into t ~fine_mesh ~coarse =
-  let kernel = compile t restrict_group ~shape:coarse.Level.shape in
+  let kernel = compile t t.groups.restrict ~shape:coarse.Level.shape in
   kernel.Kernel.run
     ~params:(Level.params coarse)
     (Grids.of_list
        [ ("fine_res", fine_mesh); ("coarse_f", Level.f coarse) ])
 
 let interpolate_and_correct t ~coarse ~fine =
-  let group = interp_group t.config.interp in
-  let kernel = compile t group ~shape:coarse.Level.shape in
+  let kernel = compile t t.groups.interp ~shape:coarse.Level.shape in
   kernel.Kernel.run
     ~params:(Level.params coarse)
     (Grids.of_list [ ("coarse_u", Level.u coarse); ("fine_u", Level.u fine) ])

@@ -30,9 +30,21 @@ val default_config : config
 (** compiled backend, GSRB smoother, 2 smooths, coarsest 2³, 24 bottom
     smooths, piecewise-constant interpolation. *)
 
+(** The stencil groups a solver runs, built once by {!create} at its
+    rank and reused on every level (each resolves against the level's
+    shape when compiled). *)
+type groups = {
+  smoother : Snowflake.Group.t;  (** one application of [config.smoother] *)
+  residual : Snowflake.Group.t;  (** boundaries, then res ← f − A u *)
+  dinv : Snowflake.Group.t;  (** inverse diagonal from the betas *)
+  restrict : Snowflake.Group.t;  (** ["fine_res"] → ["coarse_f"] *)
+  interp : Snowflake.Group.t;  (** ["coarse_u"] corrects ["fine_u"] *)
+}
+
 type t = private {
   levels : Level.t array;
   config : config;
+  groups : groups;
   timers : (string, float ref) Hashtbl.t;
       (** per-operation, per-level wall time, keyed e.g. ["smooth L0"] *)
   mutable active_backend : Jit.backend;
@@ -41,16 +53,22 @@ type t = private {
           {!solve_resilient} when a backend keeps failing *)
 }
 
-val create : ?config:config -> n:int -> unit -> t
-(** Builds the hierarchy n, n/2, …, [coarsest_n].  [n] must be
-    [coarsest_n]·2^k.  Betas default to 1; call {!set_beta} to change, then
-    the solver recomputes every level's inverse diagonal. *)
+val create : ?config:config -> ?dims:int -> n:int -> unit -> t
+(** Builds the hierarchy n, n/2, …, [coarsest_n] of rank-[dims] levels
+    (default 3) and the solver's {!groups} at that rank, from {!Nd}'s
+    constructors.  [n] must be [coarsest_n]·2^k.  Betas default to 1;
+    call {!set_beta} (3-D) or {!Level.set_beta_nd} on each of [levels]
+    then {!init_dinv} to change them.  Raises [Invalid_argument] for
+    [dims < 1], and for [dims <> 3] when [config] asks for a 3-D-only
+    choice: the [Gsrb4] or [Chebyshev _] smoother or [Linear]
+    interpolation. *)
 
 val finest : t -> Level.t
 
 val set_beta : t -> (float -> float -> float -> float) -> unit
 (** Evaluate β at every level's face centres (re-discretisation, equivalent
-    to HPGMG's coefficient restriction for smooth β) and refresh [dinv]. *)
+    to HPGMG's coefficient restriction for smooth β) and refresh [dinv].
+    3-D solvers only. *)
 
 val init_dinv : t -> unit
 (** Recompute the inverse-diagonal mesh on every level (run automatically
@@ -70,9 +88,11 @@ val smooth_steps : t -> int -> count:int -> unit
     through this. *)
 
 val smoother_plan : t -> string
-(** Human summary of the finest-level smoother plan (fusion partition and
-    temporal blocking) under the instance's jit config — what
-    [hpgmg_run --profile] prints. *)
+(** The kernels one pre- or post-smooth ([config.smooths] applications)
+    runs on the finest level, as [times x [Kernel.description]] joined by
+    ["then"]: the plain kernel, or the time-tiled one plus any plain
+    remainder — what [hpgmg_run --profile] prints.  Compiles (a cache hit
+    once a cycle has run) and runs nothing. *)
 
 val compute_residual : t -> int -> unit
 (** res ← f − A u on level [i] (boundaries applied first). *)

@@ -1,5 +1,4 @@
 open Sf_util
-open Sf_mesh
 open Snowflake
 
 let axis_name = function
@@ -169,189 +168,6 @@ let interpolation ~dims =
           +: Expr.read "coarse_u" (zero dims))
         ~domain:(interior ~dims) ())
     (parities dims)
-
-(* ---------------------------------------------------------------- Level *)
-
-module Level = struct
-  type t = { n : int; dims : int; shape : Ivec.t; h : float; grids : Grids.t }
-
-  let create ~dims ~n =
-    if dims < 1 then invalid_arg "Nd.Level.create: dims must be positive";
-    if n < 2 || n mod 2 <> 0 then
-      invalid_arg "Nd.Level.create: n must be even and >= 2";
-    let shape = Ivec.make dims (n + 2) in
-    let grids = Grids.create () in
-    List.iter
-      (fun name -> Grids.add grids name (Mesh.create shape))
-      [ "u"; "f"; "res"; "tmp"; "dinv" ];
-    List.iter
-      (fun a ->
-        let m = Mesh.create shape in
-        Mesh.fill m 1.;
-        Grids.add grids (beta_name a) m)
-      (axes dims);
-    { n; dims; shape; h = 1. /. float_of_int n; grids }
-
-  let params t = [ ("inv_h2", 1. /. (t.h *. t.h)) ]
-  let u t = Grids.find t.grids "u"
-  let f t = Grids.find t.grids "f"
-  let res t = Grids.find t.grids "res"
-
-  let dof t =
-    let rec pow acc k = if k = 0 then acc else pow (acc * t.n) (k - 1) in
-    pow 1 t.dims
-
-  let cell_center t p =
-    Array.map (fun i -> (float_of_int i -. 0.5) *. t.h) p
-
-  let iter_interior t fn =
-    let d =
-      Domain.resolve_rect ~shape:t.shape
-        (Domain.rect
-           ~lo:(List.init t.dims (fun _ -> 1))
-           ~hi:(List.init t.dims (fun _ -> -1))
-           ())
-    in
-    Domain.iter d fn
-
-  let fill_interior mesh t fn =
-    iter_interior t (fun p -> Mesh.set mesh p (fn (cell_center t p)))
-
-  let set_beta t beta =
-    List.iter
-      (fun axis ->
-        let m = Grids.find t.grids (beta_name axis) in
-        Mesh.fill_with m (fun p ->
-            let coords =
-              Array.mapi
-                (fun a i ->
-                  if a = axis then float_of_int (i - 1) *. t.h
-                  else (float_of_int i -. 0.5) *. t.h)
-                p
-            in
-            beta coords))
-      (axes t.dims)
-
-  let interior_norm_l2 t mesh =
-    let acc = ref 0. in
-    iter_interior t (fun p ->
-        let v = Mesh.get mesh p in
-        acc := !acc +. (v *. v));
-    sqrt !acc
-
-  let error_vs t mesh exact =
-    let acc = ref 0. in
-    iter_interior t (fun p ->
-        acc :=
-          Float.max !acc
-            (Float.abs (Mesh.get mesh p -. exact (cell_center t p))));
-    !acc
-end
-
-(* --------------------------------------------------------------- Solver *)
-
-module Solver = struct
-  open Sf_backends
-
-  type t = {
-    levels : Level.t array;
-    backend : Jit.backend;
-    smooths : int;
-    coarse_iters : int;
-  }
-
-  let finest t = t.levels.(0)
-
-  let run_group t (level : Level.t) group grids params =
-    let kernel = Jit.compile t.backend ~shape:level.Level.shape group in
-    kernel.Kernel.run ~params grids
-
-  let dims t = (finest t).Level.dims
-
-  let init_dinv t =
-    Array.iter
-      (fun (level : Level.t) ->
-        run_group t level
-          (Group.make ~label:"dinv" [ dinv_setup ~dims:level.Level.dims ])
-          level.Level.grids (Level.params level))
-      t.levels
-
-  let create ?(backend = Jit.Compiled) ?(smooths = 2) ?(coarsest_n = 2)
-      ?(coarse_iters = 24) ~dims ~n () =
-    let rec sizes acc n =
-      if n = coarsest_n then List.rev (n :: acc)
-      else if n < coarsest_n || n mod 2 <> 0 then
-        invalid_arg "Nd.Solver.create: n must be coarsest_n * 2^k"
-      else sizes (n :: acc) (n / 2)
-    in
-    let levels =
-      Array.of_list (List.map (fun n -> Level.create ~dims ~n) (sizes [] n))
-    in
-    let t = { levels; backend; smooths; coarse_iters } in
-    init_dinv t;
-    t
-
-  let set_beta t beta =
-    Array.iter (fun level -> Level.set_beta level beta) t.levels;
-    init_dinv t
-
-  let smooth t i =
-    let level = t.levels.(i) in
-    run_group t level
-      (gsrb_smooth ~dims:(dims t))
-      level.Level.grids (Level.params level)
-
-  let compute_residual t i =
-    let level = t.levels.(i) in
-    run_group t level
-      (Group.make ~label:"residual"
-         (boundaries ~dims:(dims t) ~grid:"u" @ [ residual_vc ~dims:(dims t) ]))
-      level.Level.grids (Level.params level)
-
-  let rec cycle t i =
-    let coarsest = Array.length t.levels - 1 in
-    if i = coarsest then
-      for _ = 1 to t.coarse_iters do
-        smooth t i
-      done
-    else begin
-      for _ = 1 to t.smooths do
-        smooth t i
-      done;
-      compute_residual t i;
-      let fine = t.levels.(i) and coarse = t.levels.(i + 1) in
-      run_group t coarse
-        (Group.make ~label:"restrict" [ restriction ~dims:(dims t) ])
-        (Grids.of_list
-           [ ("fine_res", Level.res fine); ("coarse_f", Level.f coarse) ])
-        (Level.params coarse);
-      Mesh.fill (Level.u coarse) 0.;
-      cycle t (i + 1);
-      run_group t coarse
-        (Group.make ~label:"interp" (interpolation ~dims:(dims t)))
-        (Grids.of_list
-           [ ("coarse_u", Level.u coarse); ("fine_u", Level.u fine) ])
-        (Level.params coarse);
-      for _ = 1 to t.smooths do
-        smooth t i
-      done
-    end
-
-  let vcycle t = cycle t 0
-
-  let residual_norm t =
-    compute_residual t 0;
-    Level.interior_norm_l2 (finest t) (Level.res (finest t))
-
-  let solve ?(cycles = 10) t =
-    let norms = Array.make (cycles + 1) 0. in
-    norms.(0) <- residual_norm t;
-    for c = 1 to cycles do
-      vcycle t;
-      norms.(c) <- residual_norm t
-    done;
-    norms
-end
 
 let pi = 4. *. atan 1.
 

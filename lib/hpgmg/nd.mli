@@ -1,16 +1,16 @@
 (** Dimension-generic multigrid building blocks.
 
     The Snowflake language is rank-polymorphic; this module provides the
-    HPGMG operator set for any dimensionality — 1-D and 2-D solvers are
-    useful in their own right (the paper's running example, Fig. 4, is
-    2-D) and the 3-D instantiation is what {!Operators} re-exports.
+    HPGMG operator set for any dimensionality.  [Mg.create ~dims] builds
+    its groups from these constructors, so one V-cycle solves at every
+    rank — 1-D and 2-D solves are useful in their own right (the paper's
+    running example, Fig. 4, is 2-D) — and the 3-D instantiation is what
+    {!Operators} re-exports.  Levels at any rank are [Level.create_nd].
 
     Grid-name conventions match the 3-D module: ["u"], ["f"], ["res"],
     ["tmp"], ["dinv"], and face coefficients ["beta_x"], ["beta_y"],
     ["beta_z"], ["beta_w"], then ["beta_a4"], ... for higher axes. *)
 
-open Sf_util
-open Sf_mesh
 open Snowflake
 
 val axis_name : int -> string
@@ -45,54 +45,6 @@ val restriction : dims:int -> Stencil.t
 val interpolation : dims:int -> Stencil.t list
 (** Piecewise-constant correction, 2^dims parity stencils,
     ["coarse_u"] → ["fine_u"]. *)
-
-(** {2 Levels} *)
-
-module Level : sig
-  type t = { n : int; dims : int; shape : Ivec.t; h : float; grids : Grids.t }
-
-  val create : dims:int -> n:int -> t
-  val params : t -> (string * float) list
-  val u : t -> Mesh.t
-  val f : t -> Mesh.t
-  val res : t -> Mesh.t
-  val dof : t -> int
-  val cell_center : t -> Ivec.t -> float array
-  val iter_interior : t -> (Ivec.t -> unit) -> unit
-  val fill_interior : Mesh.t -> t -> (float array -> float) -> unit
-  (** The callback receives physical cell-centre coordinates. *)
-
-  val set_beta : t -> (float array -> float) -> unit
-  val interior_norm_l2 : t -> Mesh.t -> float
-  val error_vs : t -> Mesh.t -> (float array -> float) -> float
-end
-
-(** {2 A dimension-generic V-cycle solver} *)
-
-module Solver : sig
-  type t = {
-    levels : Level.t array;
-    backend : Sf_backends.Jit.backend;
-    smooths : int;
-    coarse_iters : int;
-  }
-
-  val create :
-    ?backend:Sf_backends.Jit.backend ->
-    ?smooths:int ->
-    ?coarsest_n:int ->
-    ?coarse_iters:int ->
-    dims:int ->
-    n:int ->
-    unit ->
-    t
-
-  val finest : t -> Level.t
-  val set_beta : t -> (float array -> float) -> unit
-  val vcycle : t -> unit
-  val residual_norm : t -> float
-  val solve : ?cycles:int -> t -> float array
-end
 
 (** {2 Manufactured problem, any dimension} *)
 

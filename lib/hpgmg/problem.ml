@@ -1,8 +1,8 @@
 open Sf_mesh
 
 let pi = 4. *. atan 1.
-let exact_sine x y z = sin (pi *. x) *. sin (pi *. y) *. sin (pi *. z)
-let rhs_sine x y z = 3. *. pi *. pi *. exact_sine x y z
+let exact_sine x y z = Nd.exact_sine [| x; y; z |]
+let rhs_sine x y z = Nd.rhs_sine ~dims:3 [| x; y; z |]
 
 let beta_smooth x y z =
   1. +. (0.45 *. sin (2. *. pi *. x) *. sin (2. *. pi *. y) *. sin (2. *. pi *. z))

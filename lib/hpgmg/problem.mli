@@ -5,10 +5,12 @@
     homogeneous Dirichlet boundaries. *)
 
 val exact_sine : float -> float -> float -> float
-(** u(x,y,z) = sin(πx)·sin(πy)·sin(πz) — zero on the boundary. *)
+(** u(x,y,z) = sin(πx)·sin(πy)·sin(πz) — zero on the boundary;
+    {!Nd.exact_sine} at rank 3. *)
 
 val rhs_sine : float -> float -> float -> float
-(** f = −Δu = 3π²·u for the β ≡ 1 (Poisson) case. *)
+(** f = −Δu = 3π²·u for the β ≡ 1 (Poisson) case; {!Nd.rhs_sine}
+    [~dims:3]. *)
 
 val beta_smooth : float -> float -> float -> float
 (** A strictly positive, smoothly varying coefficient
@@ -20,5 +22,6 @@ val setup_poisson : Level.t -> unit
 
 val setup_variable : seed:int -> Level.t -> unit
 (** β = {!beta_smooth}, f = deterministic pseudo-random interior values in
-    [-1, 1], u = 0.  Used when only convergence factors (not discretisation
+    [-1, 1] drawn from one [Random] stream over the interior, axis 0
+    outermost, u = 0.  Used when only convergence factors (not discretisation
     error) are checked. *)

@@ -25,13 +25,11 @@ let test_group_shapes () =
     [ 1; 2; 3; 4 ]
 
 let solve_poisson ~dims ~n ~cycles =
-  let solver = Nd.Solver.create ~dims ~n () in
-  let finest = Nd.Solver.finest solver in
-  Nd.Level.fill_interior (Nd.Level.f finest) finest (Nd.rhs_sine ~dims);
-  let norms = Nd.Solver.solve ~cycles solver in
-  let err =
-    Nd.Level.error_vs finest (Nd.Level.u finest) Nd.exact_sine
-  in
+  let solver = Mg.create ~dims ~n () in
+  let finest = Mg.finest solver in
+  Level.fill_interior_nd (Level.f finest) finest (Nd.rhs_sine ~dims);
+  let norms = Mg.solve ~cycles solver in
+  let err = Level.error_vs_nd finest (Level.u finest) Nd.exact_sine in
   (norms, err)
 
 let test_1d_poisson () =
@@ -58,38 +56,72 @@ let test_4d_poisson () =
   check_bool "4-d converged" true (norms.(6) < norms.(0) *. 1e-6);
   check_bool (Printf.sprintf "4-d error %.2e" err) true (err < 0.1)
 
-let test_3d_matches_specialised_solver () =
-  (* the generic dims=3 solver and the dedicated Mg solver perform the
-     same algorithm; starting from the same state they must agree to
-     rounding *)
-  let n = 8 in
-  let generic = Nd.Solver.create ~dims:3 ~n () in
-  let dedicated = Mg.create ~n () in
-  let gf = Nd.Solver.finest generic in
-  Nd.Level.fill_interior (Nd.Level.f gf) gf (Nd.rhs_sine ~dims:3);
-  Problem.setup_poisson (Mg.finest dedicated);
-  for _ = 1 to 3 do
-    Nd.Solver.vcycle generic;
-    Mg.vcycle dedicated
-  done;
-  let d =
-    Mesh.max_abs_diff (Nd.Level.u gf) (Level.u (Mg.finest dedicated))
-  in
-  check_bool (Printf.sprintf "solvers agree (diff %.2e)" d) true (d < 1e-11)
-
 let test_variable_coefficients_2d () =
-  let solver = Nd.Solver.create ~dims:2 ~n:16 () in
-  Nd.Solver.set_beta solver (fun c ->
-      1. +. (0.4 *. sin (6. *. c.(0)) *. cos (5. *. c.(1))));
-  let finest = Nd.Solver.finest solver in
-  Nd.Level.fill_interior (Nd.Level.f finest) finest (fun c ->
-      c.(0) -. c.(1));
-  let norms = Nd.Solver.solve ~cycles:6 solver in
+  let solver = Mg.create ~dims:2 ~n:16 () in
+  Array.iter
+    (fun level ->
+      Level.set_beta_nd level (fun c ->
+          1. +. (0.4 *. sin (6. *. c.(0)) *. cos (5. *. c.(1)))))
+    solver.Mg.levels;
+  Mg.init_dinv solver;
+  let finest = Mg.finest solver in
+  Level.fill_interior_nd (Level.f finest) finest (fun c -> c.(0) -. c.(1));
+  let norms = Mg.solve ~cycles:6 solver in
   check_bool "vc 2-d converged" true (norms.(6) < norms.(0) *. 1e-6)
 
+let test_3d_only_choices_refused () =
+  let refused name config =
+    match Mg.create ~config ~dims:2 ~n:8 () with
+    | _ -> Alcotest.failf "2-d solver accepted %s" name
+    | exception Invalid_argument _ -> ()
+  in
+  let d = Mg.default_config in
+  refused "Gsrb4" { d with Mg.smoother = Mg.Gsrb4 };
+  refused "Chebyshev" { d with Mg.smoother = Mg.Chebyshev 2 };
+  refused "Linear" { d with Mg.interp = Mg.Linear };
+  (* the rank-generic choices are accepted *)
+  ignore (Mg.create ~config:{ d with Mg.smoother = Mg.Jacobi } ~dims:2 ~n:8 ())
+
+(* Problem.setup_variable draws f from one Random stream in interior
+   order, axis 0 outermost; this index-weighted sum of the 8³ level's f
+   was recorded with the original i/j/k loop and pins that order. *)
+let test_setup_variable_order () =
+  let level = Level.create ~n:8 in
+  Problem.setup_variable ~seed:1 level;
+  let acc = ref 0. in
+  Float.Array.iteri
+    (fun k v -> acc := !acc +. (float_of_int (k + 1) *. v))
+    (Mesh.data (Level.f level));
+  Alcotest.(check string)
+    "f checksum" "0x1.3cf9010cc29fap+10" (Printf.sprintf "%h" !acc)
+
+(* The plan --profile prints is the kernel that runs: with fusion on, the
+   compiled backend still runs the Jacobi smoother as one sequential
+   kernel, not the fused partition another backend would run. *)
+let test_smoother_plan_names_running_kernel () =
+  let config =
+    {
+      Mg.default_config with
+      Mg.smoother = Mg.Jacobi;
+      jit = { Sf_backends.Config.default with fusion = true };
+    }
+  in
+  let solver = Mg.create ~config ~n:8 () in
+  let plan = Mg.smoother_plan solver in
+  let has sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length plan && (String.sub plan i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  check_bool (Printf.sprintf "sequential plan: %s" plan) true
+    (has "compiled: " && has "sequential");
+  check_bool "no fusion partition" false (has "fusion")
+
 let test_level_dof () =
-  check_int "2d dof" 256 (Nd.Level.dof (Nd.Level.create ~dims:2 ~n:16));
-  check_int "4d dof" 4096 (Nd.Level.dof (Nd.Level.create ~dims:4 ~n:8))
+  check_int "2d dof" 256 (Level.dof (Level.create_nd ~dims:2 ~n:16));
+  check_int "4d dof" 4096 (Level.dof (Level.create_nd ~dims:4 ~n:8))
 
 let () =
   Alcotest.run "sf_hpgmg_nd"
@@ -106,9 +138,16 @@ let () =
           Alcotest.test_case "2-d poisson + order" `Quick
             test_2d_poisson_convergence_and_order;
           Alcotest.test_case "4-d poisson" `Quick test_4d_poisson;
-          Alcotest.test_case "3-d generic = dedicated" `Quick
-            test_3d_matches_specialised_solver;
           Alcotest.test_case "2-d variable coefficients" `Quick
             test_variable_coefficients_2d;
+          Alcotest.test_case "3-d-only choices refused" `Quick
+            test_3d_only_choices_refused;
+          Alcotest.test_case "smoother plan names running kernel" `Quick
+            test_smoother_plan_names_running_kernel;
+        ] );
+      ( "problem",
+        [
+          Alcotest.test_case "setup_variable draw order" `Quick
+            test_setup_variable_order;
         ] );
     ]
