@@ -33,7 +33,7 @@ let run_pipeline_demo ~ranks ~n ~cycles ~workers =
   in
   let spmd = mk () in
   let group = Spmd.gsrb_smooth_group spmd in
-  let cert, diags = Pipeline.certify ~config spmd group in
+  let cert, diags = Pipeline.certify spmd group in
   List.iter
     (fun d -> print_endline (Sf_analysis.Diagnostics.to_string d))
     diags;
@@ -109,8 +109,7 @@ let run n cycles backend_name workers variable fcycle interp_linear profile
   let jit_base =
     {
       (Config.with_workers workers Config.default) with
-      Config.trace = profile || trace_file <> None || Config.default_trace;
-      fusion = not no_fusion;
+      Config.fusion = not no_fusion;
       time_tile = (if time_tile > 0 then time_tile else Config.default.Config.time_tile);
     }
   in
@@ -127,12 +126,12 @@ let run n cycles backend_name workers variable fcycle interp_linear profile
       let group = Operators.gsrb_smooth in
       let measure cfg =
         let p = Autotune.plan_of_config cfg in
+        let tiled = p.Autotune.time_tile > 1 in
         let kernel =
-          if p.Autotune.time_tile > 1 then
-            Jit.compile_time_tiled ~config:cfg ~reps backend ~shape group
-          else Jit.compile ~config:cfg backend ~shape group
+          Jit.compile ~config:cfg ~reps:(if tiled then reps else 1) backend
+            ~shape group
         in
-        let apps = if p.Autotune.time_tile > 1 then 1 else reps in
+        let apps = if tiled then 1 else reps in
         let once () =
           for _ = 1 to apps do
             kernel.Kernel.run ~params:(Level.params level) level.Level.grids

@@ -83,8 +83,7 @@ let lint_file ~n ~params ~inputs ~backends ~config ~pipeline ~pipe_depth
         else
           snd
             (Sf_analysis.Pipeline_check.analyze ?depth_override:pipe_depth
-               ~budget_bytes:config.Sf_backends.Config.pipe_budget ~shape
-               group)
+               ~shape group)
       in
       (* temporal-blocking certification (SF024/SF025) for an explicit
          --time-tile depth, with --time-skew overriding the computed skew *)

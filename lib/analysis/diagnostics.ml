@@ -79,8 +79,9 @@ let fix_hints =
                fall back to bulk-synchronous Spmd.run_group");
     ("SF032", "restructure cross-rank reads into pure neighbour-to-neighbour \
                halo copy stencils, or run the sweep bulk-synchronously");
-    ("SF033", "raise the budget (SF_PIPE_BUDGET / Config.pipe_budget), \
-               shrink the plane size, or use the bulk-synchronous fallback");
+    ("SF033", "raise the budget (SF_PIPE_BUDGET, or Pipeline_check.analyze \
+               ~budget_bytes), shrink the plane size, or use the \
+               bulk-synchronous fallback");
     ("SF034", "recertify the plan: the executor must allocate exactly the \
                certified ring depths");
   ]

@@ -40,7 +40,8 @@
     - [SF032] error — the group is not pipelineable across ranks (impure
       halo copy, cross-rank reduction, non-neighbour exchange, …)
     - [SF033] warning — the certified channel depths exceed
-      [Config.pipe_budget]; the bulk-synchronous path is the fallback
+      the channel budget ([Pipeline_check.analyze ~budget_bytes]); the
+      bulk-synchronous path is the fallback
     - [SF034] error — the executed plan's ring depths disagree with the
       certificate ([Pipeline_check.verify_depths], the executor's tamper
       gate) *)

@@ -83,7 +83,16 @@ type edge = {
   e_slope : int * int;
 }
 
-let analyze ?(stream_axis = 0) ?depth_override ?(budget_bytes = 1 lsl 26)
+(* [SF_PIPE_BUDGET] (bytes, positive) from the environment, else 64 MiB *)
+let default_budget =
+  match
+    Option.bind (Sys.getenv_opt "SF_PIPE_BUDGET") (fun s ->
+        int_of_string_opt (String.trim s))
+  with
+  | Some v when v > 0 -> v
+  | _ -> 1 lsl 26
+
+let analyze ?(stream_axis = 0) ?depth_override ?(budget_bytes = default_budget)
     ~shape group =
   let stencils = Array.of_list (Group.stencils group) in
   let n = Array.length stencils in
@@ -458,9 +467,9 @@ let analyze ?(stream_axis = 0) ?depth_override ?(budget_bytes = 1 lsl 26)
               (Diagnostics.make ~code:"SF033" ~severity:Diagnostics.Warning
                  ~loc:(Srcloc.group group.Group.label)
                  ~hint:
-                   (Printf.sprintf
-                      "raise the budget (SF_PIPE_BUDGET / Config.pipe_budget) \
-                       or run bulk-synchronously via Spmd.run_group")
+                   "raise the budget (SF_PIPE_BUDGET, or \
+                    Pipeline_check.analyze ~budget_bytes) or run \
+                    bulk-synchronously via Spmd.run_group"
                  (Printf.sprintf
                     "certified channel depths need %d bytes of ring buffers, \
                      over the %d-byte budget; the bulk-synchronous fallback \

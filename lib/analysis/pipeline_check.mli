@@ -91,7 +91,8 @@ val analyze :
     refusal; SF033 warns on budget overrun without withholding the
     certificate).  [depth_override] forces every channel to the given
     depth before the deadlock proof — the expert/fuzzing knob that makes
-    undersized plans reproducible.  [budget_bytes] defaults to 64 MiB.
+    undersized plans reproducible.  [budget_bytes] defaults to
+    [SF_PIPE_BUDGET] (bytes) from the environment, else 64 MiB.
     A group with no rank-qualified grids yields [(None, [])]. *)
 
 val verify_depths : certificate -> depths:int list -> Diagnostics.t list

@@ -13,13 +13,9 @@ type t = {
   serial_cutoff : int;
   certify : bool;
   force_parallel : string list;
-  trace : bool;
-  faults : string option;
   fusion : bool;
   time_tile : int;
   time_block : int;
-  pipeline : bool;
-  pipe_budget : int;
 }
 
 and dce = No_dce | Dce of string list
@@ -43,16 +39,7 @@ let env_flag name =
 let default_workers = env_int "SF_WORKERS" 1
 let default_serial_cutoff = env_int "SF_SERIAL_CUTOFF" 1024
 let default_certify = env_flag "SF_VALIDATE"
-let default_trace = env_flag "SF_TRACE"
-
-let default_faults =
-  match Sys.getenv_opt "SF_FAULTS" with
-  | Some s when String.trim s <> "" -> Some s
-  | _ -> None
-
 let default_fusion = env_flag "SF_FUSION"
-let default_pipeline = env_flag "SF_PIPELINE"
-let default_pipe_budget = env_int "SF_PIPE_BUDGET" (1 lsl 26)
 
 let default =
   {
@@ -68,13 +55,9 @@ let default =
     serial_cutoff = default_serial_cutoff;
     certify = default_certify;
     force_parallel = [];
-    trace = default_trace;
-    faults = default_faults;
     fusion = default_fusion;
     time_tile = 1;
     time_block = 0;
-    pipeline = default_pipeline;
-    pipe_budget = default_pipe_budget;
   }
 
 let with_workers workers t = { t with workers }

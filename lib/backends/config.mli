@@ -2,7 +2,11 @@
 
     These correspond to the tuning knobs the paper exposes when [compile] is
     called: thread count, tile sizes, multicolor reordering, and the
-    barrier-placement strategy. *)
+    barrier-placement strategy.  A [Config.t] holds nothing else: with
+    the backend, the shape, the group and the application count it is the
+    whole [Jit.compile] cache key.  Process-wide switches (tracing, fault
+    arming) live with the substrate they switch, [Sf_trace.Trace] and
+    [Sf_resilience.Fault]. *)
 
 type schedule = Greedy_waves | Dag_levels
 
@@ -41,16 +45,6 @@ type t = {
       (** stencil labels asserted safe to tile in parallel even when the
           analysis cannot prove them point-parallel — a user override;
           [certify] is the safety net that catches a wrong assertion *)
-  trace : bool;
-      (** switch the process-global [Sf_trace] substrate on at
-          [Jit.compile] time (equivalent to [SF_TRACE=1]); kernels are
-          always *instrumented* — this flag only flips the recording
-          gate, which costs one atomic load per site when off *)
-  faults : string option;
-      (** fault-injection spec armed at [Jit.compile] time (the [--faults]
-          CLI flag / [SF_FAULTS]; grammar in [Sf_resilience.Fault]);
-          [None] leaves the current arming untouched, so a spec armed via
-          the environment at load time stays in force *)
   fusion : bool;
       (** cross-wave sweep fusion ([Fusion]): partition the group into
           clusters of provably cofusible stencils and execute each cluster
@@ -60,24 +54,15 @@ type t = {
           unfusible group (e.g. GSRB's colour sweeps) degenerates to the
           unfused plan *)
   time_tile : int;
-      (** temporal blocking depth [k] ([Timetile]): [Jit.compile_time_tiled]
-          folds [k] consecutive applications of the group into one skewed
-          time-tiled sweep costing ~one pass of memory traffic.  [1]
-          disables it.  Plain [Jit.compile] (one application) ignores this
-          knob except as a cache-key component *)
+      (** temporal blocking depth [k] ([Timetile]) that [Mg] and
+          [Autotune] request: they compile their smoother with
+          [Jit.compile ~reps:k], which folds [k] consecutive applications
+          of the group into one skewed time-tiled sweep costing ~one pass
+          of memory traffic.  [1] disables it.  [Jit.compile] itself reads
+          the application count from [~reps], never from this field *)
   time_block : int;
       (** outer-axis block size (lattice points) for the time-tiled sweep;
           [0] picks a size automatically *)
-  pipeline : bool;
-      (** pipelined SPMD execution ([Sf_distributed.Pipeline]): replace
-          the bulk-synchronous whole-halo barrier with per-plane bounded
-          channel sends sized by the [Pipeline_check] certifier.  Off by
-          default; only certified plans ever run pipelined *)
-  pipe_budget : int;
-      (** channel-memory budget in bytes for the pipeline certifier
-          ([Pipeline_check.analyze ~budget_bytes]); certified depths over
-          the budget report SF033 and name the bulk-synchronous
-          fallback *)
 }
 
 and dce = No_dce | Dce of string list  (** live output grids *)
@@ -93,23 +78,9 @@ val default_certify : bool
 (** [SF_VALIDATE] from the environment ([1]/[true]/[yes]/[on]), else
     false. *)
 
-val default_trace : bool
-(** [SF_TRACE] from the environment ([1]/[true]/[yes]/[on]), else
-    false. *)
-
-val default_faults : string option
-(** [SF_FAULTS] from the environment when non-empty, else [None]. *)
-
 val default_fusion : bool
 (** [SF_FUSION] from the environment ([1]/[true]/[yes]/[on]), else
     false. *)
-
-val default_pipeline : bool
-(** [SF_PIPELINE] from the environment ([1]/[true]/[yes]/[on]), else
-    false. *)
-
-val default_pipe_budget : int
-(** [SF_PIPE_BUDGET] (bytes) from the environment, else 64 MiB. *)
 
 val default : t
 (** Sequential-friendly defaults: [workers] = {!default_workers}, no
@@ -117,7 +88,6 @@ val default : t
     greedy waves, validation on, no fusion, no DCE,
     [serial_cutoff] = {!default_serial_cutoff},
     [certify] = {!default_certify}, no forced-parallel overrides,
-    [trace] = {!default_trace}, [faults] = {!default_faults},
     [fusion] = {!default_fusion}, [time_tile = 1] (off),
     [time_block = 0] (auto). *)
 

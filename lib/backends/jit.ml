@@ -63,6 +63,7 @@ type key = {
   shape : int list;
   group_hash : int;
   config : Config.t;
+  reps : int;  (* applications per invocation *)
 }
 
 let cache : (key, Kernel.t) Hashtbl.t = Hashtbl.create 64
@@ -136,17 +137,14 @@ let lower ?(config = Config.default) backend ~shape group =
       invalid_arg
         (Printf.sprintf "Jit.lower: custom backend %S has no plan" name)
 
-(* The structural cache identity.  Time-tiled entries ([reps > 1]) live
-   in the same cache under a distinct pseudo-backend name, with
-   [Config.time_tile] carrying [reps] into the key. *)
 let key_of ~config ~reps backend ~shape group =
-  let backend, config =
-    if reps > 1 then
-      ( Custom ("timetile:" ^ backend_name backend),
-        { config with Config.time_tile = reps } )
-    else (backend, config)
-  in
-  { backend; shape = Ivec.to_list shape; group_hash = Group.hash group; config }
+  {
+    backend;
+    shape = Ivec.to_list shape;
+    group_hash = Group.hash group;
+    config;
+    reps;
+  }
 
 (* The one cache probe: a hit returns the cached kernel; a miss builds
    outside the lock (lowering can be slow and must not stall concurrent
@@ -187,107 +185,72 @@ let run_plan (config : Config.t) ~tier ~backend ?(extra = fun () -> [])
   instrument ~cost:plan.Plan.cost ~backend group
     (Plan.execute ~tier config plan)
 
-let armed_spec = Atomic.make ""
+(* One application through the backend's own lowering. *)
+let build config backend ~shape group =
+  match backend with
+  | Custom name -> (
+      match locked (fun () -> Hashtbl.find_opt registry name) with
+      | Some compiler ->
+          (* a custom plan is opaque to the certifier *)
+          let group = Passes.optimize config ~shape group in
+          instrument
+            ~cost:(Costing.of_group ~shape group)
+            ~backend:name group
+            (compiler config ~shape group)
+      | None ->
+          invalid_arg
+            (Printf.sprintf "Jit.compile: unknown custom backend %S" name))
+  | _ ->
+      let tier = if backend = Interp then Plan.Interp else Plan.Compiled in
+      run_plan config ~tier ~backend:(backend_name backend)
+        (lower ~config backend ~shape group)
 
-let compile ?(config = Config.default) backend ~shape group =
-  if config.Config.trace && not (Trace.on ()) then Trace.set_enabled true;
-  (* mirror the trace-arming pattern: a spec in the config arms the global
-     fault substrate.  Arming is keyed on the raw spec string so repeated
-     compiles under the same config never re-arm (re-arming would reset
-     the clauses' occurrence counters mid-campaign); [None] leaves any
-     SF_FAULTS arming in force. *)
-  (match config.Config.faults with
-  | Some spec when Atomic.get armed_spec <> spec ->
-      Atomic.set armed_spec spec;
-      Fault.arm_exn spec
-  | _ -> ());
-  cached (key_of ~config ~reps:1 backend ~shape group) (fun () ->
+(* The one compile entry point: a function of its cache key alone, so a
+   compile touches no process state beyond the cache and its counters. *)
+let rec compile ?(config = Config.default) ?(reps = 1) backend ~shape group =
+  if reps < 1 then invalid_arg "Jit.compile: reps must be at least 1";
+  cached (key_of ~config ~reps backend ~shape group) (fun () ->
       Trace.span
         ~args:
-          [
-            ("backend", Trace.Str (backend_name backend));
-            ("group", Trace.Str group.Group.label);
-          ]
+          ([
+             ( "backend",
+               Trace.Str (if reps = 1 then backend_name backend else "timetile")
+             );
+             ("group", Trace.Str group.Group.label);
+           ]
+          @ if reps = 1 then [] else [ ("reps", Trace.Int reps) ])
         Trace.Compile
         ("compile:" ^ group.Group.label)
         (fun () ->
-          match backend with
-          | Custom name -> (
-              match locked (fun () -> Hashtbl.find_opt registry name) with
-              | Some compiler ->
-                  (* a custom plan is opaque to the certifier *)
-                  let group = Passes.optimize config ~shape group in
-                  instrument
-                    ~cost:(Costing.of_group ~shape group)
-                    ~backend:name group
-                    (compiler config ~shape group)
-              | None ->
-                  invalid_arg
-                    (Printf.sprintf "Jit.compile: unknown custom backend %S"
-                       name))
-          | _ ->
-              let tier =
-                if backend = Interp then Plan.Interp else Plan.Compiled
-              in
-              run_plan config ~tier
-                ~backend:(backend_name backend)
-                (lower ~config backend ~shape group)))
+          if reps = 1 then build config backend ~shape group
+          else time_tiled config ~reps backend ~shape group))
 
-(* --------------------------------------------------- temporal blocking
-
-   [compile] is always ONE application of the group; [compile_time_tiled]
-   returns a kernel whose single invocation performs [reps] applications —
-   skew-blocked into ~one pass of memory traffic when [Timetile.plan]
-   accepts the group, or a plain kernel wrapped in a reps-loop otherwise,
-   so the semantics are uniform either way (the differential fuzzer
-   depends on that). *)
-
-let compile_time_tiled ?(config = Config.default) ~reps backend ~shape group =
-  if reps < 1 then
-    invalid_arg "Jit.compile_time_tiled: reps must be at least 1";
-  if reps = 1 then compile ~config backend ~shape group
-  else begin
-    let key = key_of ~config ~reps backend ~shape group in
-    let config = key.config in
-    cached key (fun () ->
-        Trace.span
-          ~args:
-            [
-              ("backend", Trace.Str "timetile");
-              ("group", Trace.Str group.Group.label);
-              ("reps", Trace.Int reps);
-            ]
-          Trace.Compile
-          ("compile:" ^ group.Group.label)
-          (fun () ->
-            let group = Passes.optimize config ~shape group in
-            match Timetile.plan config ~shape ~reps group with
-            | Some tp ->
-                run_plan config ~tier:Plan.Compiled ~backend:"timetile"
-                  ~extra:(fun () ->
-                    Schedule_check.certify_timetile_plan config ~shape tp)
-                  (Timetile.lower ~shape tp)
-            | None ->
-                (* the plain fallback's inner kernel is instrumented by
-                   [compile] itself: one span per application *)
-                let inner = compile ~config backend ~shape group in
-                let run ?params grids =
-                  for _ = 1 to reps do
-                    inner.Kernel.run ?params grids
-                  done
-                in
-                {
-                  inner with
-                  Kernel.run;
-                  Kernel.description =
-                    Printf.sprintf "%d rep(s) of [%s]" reps
-                      inner.Kernel.description;
-                }))
-  end
-
-let compile_stencil ?config backend ~shape stencil =
-  compile ?config backend ~shape
-    (Group.make ~label:stencil.Stencil.label [ stencil ])
+(* [reps > 1] applications per invocation: skew-blocked into ~one pass of
+   memory traffic when [Timetile.plan] accepts the group, or the plain
+   kernel wrapped in a reps-loop otherwise, so the semantics are uniform
+   either way (the differential fuzzer depends on that). *)
+and time_tiled config ~reps backend ~shape group =
+  let group = Passes.optimize config ~shape group in
+  match Timetile.plan config ~shape ~reps group with
+  | Some tp ->
+      run_plan config ~tier:Plan.Compiled ~backend:"timetile"
+        ~extra:(fun () -> Schedule_check.certify_timetile_plan config ~shape tp)
+        (Timetile.lower ~shape tp)
+  | None ->
+      (* the plain fallback's inner kernel is instrumented by [compile]
+         itself: one span per application *)
+      let inner = compile ~config backend ~shape group in
+      let run ?params grids =
+        for _ = 1 to reps do
+          inner.Kernel.run ?params grids
+        done
+      in
+      {
+        inner with
+        Kernel.run;
+        Kernel.description =
+          Printf.sprintf "%d rep(s) of [%s]" reps inner.Kernel.description;
+      }
 
 let register_backend ~name compiler =
   if List.mem name builtin_names then
@@ -300,13 +263,18 @@ let register_backend ~name compiler =
 (* Exported so a serving layer can coalesce concurrent compiles of the
    same kernel *before* they race in [compile] (two domains racing on one
    key both pay the lowering; a server funnels same-key requests through
-   one compile instead).  Built from the very key [compile] /
-   [compile_time_tiled] probe. *)
+   one compile instead).  Built from the very key [compile] probes, and
+   digested whole: [Hashtbl.hash] reads only the first ten words, which
+   misses every axis after the first and most [Config] fields. *)
 let cache_key_hex ?(config = Config.default) ?(reps = 1) backend ~shape group
     =
   let key = key_of ~config ~reps backend ~shape group in
-  Printf.sprintf "%x-%x" key.group_hash
-    (Hashtbl.hash (backend_name key.backend, key.shape, key.config))
+  Printf.sprintf "%x-%s" key.group_hash
+    (Digest.to_hex
+       (Digest.string
+          (Marshal.to_string
+             (backend_name key.backend, key.reps, key.shape, key.config)
+             [ Marshal.No_sharing ])))
 
 let cache_stats () = (Atomic.get hits, Atomic.get misses)
 

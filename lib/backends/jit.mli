@@ -3,8 +3,8 @@
     [compile] lowers a stencil group for a concrete iteration shape with the
     chosen micro-compiler and memoises the result — the paper's "call-ables
     are cached, for subsequent use".  The cache key is structural (group
-    hash × shape × backend × options), so rebuilding an equal group from
-    scratch still hits.
+    hash × shape × backend × options × applications per call), so
+    rebuilding an equal group from scratch still hits.
 
     Compilation is thread-safe: the cache, the custom-backend registry and
     the hit/miss counters may be used from any domain (e.g. a pool task
@@ -66,41 +66,36 @@ val lower :
     [Invalid_argument] for a [Custom] backend. *)
 
 val compile :
-  ?config:Config.t -> backend -> shape:Ivec.t -> Group.t -> Kernel.t
-(** Always ONE application of the group per kernel invocation
-    ([Config.time_tile] only distinguishes cache entries here; the
-    temporal depth is consumed by {!compile_time_tiled}).  A built-in
-    backend's group is lowered once by {!lower}; that same value is
-    certified (under [Config.certify]), annotates the kernel span with
-    its cost, and is run by [Plan.execute]. *)
-
-val compile_time_tiled :
-  ?config:Config.t -> reps:int -> backend -> shape:Ivec.t -> Group.t ->
+  ?config:Config.t -> ?reps:int -> backend -> shape:Ivec.t -> Group.t ->
   Kernel.t
-(** A kernel whose single invocation performs [reps] consecutive
-    applications of the group.  When [Timetile.plan] accepts the group the
-    applications are skew-blocked into ~one pass of memory traffic
-    (bitwise identical results to [reps] plain invocations, at any worker
-    count); otherwise the plain kernel is wrapped in a reps-loop, so the
-    observable semantics are uniform either way.  Under [Config.certify] a
-    time-tile plan is first vetted by
-    [Schedule_check.certify_timetile_plan] (and its {!Plan.t} by
-    [Schedule_check.certify]) and an under-skewed or illegal
-    plan raises {!Certification_failed} with [SF024]/[SF025] diagnostics.
-    Cached under a distinct pseudo-backend, keyed by [reps] via
-    [Config.time_tile].  [reps = 1] is exactly {!compile}. *)
+(** A kernel whose single invocation performs [reps] (default 1)
+    consecutive applications of the group, cached under (backend, shape,
+    group, [config], [reps]).  Compiling has no effect beyond the cache:
+    tracing and fault arming are switched by [Sf_trace.Trace] and
+    [Sf_resilience.Fault], never by a compile.
 
-val compile_stencil :
-  ?config:Config.t -> backend -> shape:Ivec.t -> Stencil.t -> Kernel.t
-(** Wraps the stencil in a singleton group. *)
+    With [reps = 1] a built-in backend's group is lowered once by
+    {!lower}; that same value is certified (under [Config.certify]),
+    annotates the kernel span with its cost, and is run by [Plan.execute].
+
+    With [reps > 1] the applications are skew-blocked into ~one pass of
+    memory traffic when [Timetile.plan] accepts the group (bitwise
+    identical results to [reps] plain invocations, at any worker count;
+    the kernel and its spans carry backend ["timetile"]); otherwise the
+    plain kernel is wrapped in a reps-loop, so the observable semantics
+    are uniform either way.  Under [Config.certify] a time-tile plan is
+    first vetted by [Schedule_check.certify_timetile_plan] (and its
+    {!Plan.t} by [Schedule_check.certify]) and an under-skewed or illegal
+    plan raises {!Certification_failed} with [SF024]/[SF025] diagnostics.
+    Raises [Invalid_argument] when [reps < 1]. *)
 
 val cache_key_hex : ?config:Config.t -> ?reps:int -> backend ->
   shape:Sf_util.Ivec.t -> Group.t -> string
-(** The structural cache identity {!compile} (or, with [reps > 1],
-    {!compile_time_tiled}) would use, as a stable hex token.  Equal tokens
-    mean the two compiles share one cache entry — what a serving layer
-    needs to coalesce concurrent identical compiles into a single lowering
-    instead of letting them race inside {!compile}. *)
+(** The structural cache identity [compile ?config ?reps] would use, as
+    a stable hex token.  Equal tokens mean the two compiles share one
+    cache entry — what a serving layer needs to coalesce concurrent
+    identical compiles into a single lowering instead of letting them race
+    inside {!compile}. *)
 
 val cache_stats : unit -> int * int
 (** The [jit.hits] and [jit.misses] counters of {!Sf_trace.Metrics}: cache

@@ -22,8 +22,8 @@ type ring = {
   mutable slots : float array array;
   src_mesh : Mesh.t;
   dst_mesh : Mesh.t;
-  src_cells : Ivec.t array;  (* producer-grid cells, capture order *)
-  dst_cells : Ivec.t array;  (* consumer-grid ghost cells, same order *)
+  src_index : int array;  (* producer-grid flat indices, capture order *)
+  dst_index : int array;  (* consumer-grid ghost flat indices, same order *)
   mutable head : int;  (* messages received *)
   mutable tail : int;  (* messages sent *)
 }
@@ -39,22 +39,34 @@ type t = {
   pool : Pool.t;
 }
 
-let certify ?stream_axis ?depth_override ?(config = Config.default) spmd group =
-  Pipeline_check.analyze ?stream_axis ?depth_override
-    ~budget_bytes:config.Config.pipe_budget ~shape:spmd.Spmd.shape group
+let certify ?stream_axis ?depth_override spmd group =
+  Pipeline_check.analyze ?stream_axis ?depth_override ~shape:spmd.Spmd.shape
+    group
 
 let refuse label diagnostics =
   raise
     (Jit.Certification_failed { backend = "pipeline"; group = label; diagnostics })
 
-let cells_of_lattices ghost =
+(* Flat index of [p] (shifted by [offset]) in [mesh], bounds-checked once
+   here so [send]/[recv] copy by index *)
+let flat_index mesh offset p =
+  let p = Array.map2 ( + ) p offset in
+  if not (Mesh.in_bounds mesh p) then
+    invalid_arg
+      (Printf.sprintf "Pipeline.create: channel cell %s out of bounds"
+         (Ivec.to_string p));
+  Mesh.flat_index mesh p
+
+let flat_indices mesh offset ghost =
   let acc = ref [] in
-  List.iter (fun lat -> Domain.iter lat (fun p -> acc := Array.copy p :: !acc)) ghost;
+  List.iter
+    (fun lat -> Domain.iter lat (fun p -> acc := flat_index mesh offset p :: !acc))
+    ghost;
   Array.of_list (List.rev !acc)
 
 let create ?stream_axis ?depth_override ?(config = Config.default) spmd group =
   let label = group.Group.label in
-  let cert, diags = certify ?stream_axis ?depth_override ~config spmd group in
+  let cert, diags = certify ?stream_axis ?depth_override spmd group in
   let cert =
     match cert with
     | Some c -> c
@@ -65,21 +77,21 @@ let create ?stream_axis ?depth_override ?(config = Config.default) spmd group =
     Array.of_list
       (List.map
          (fun (c : Pipeline_check.channel) ->
-           let dst_cells = cells_of_lattices c.Pipeline_check.ghost in
-           let src_cells =
-             Array.map
-               (fun p -> Array.map2 ( + ) p c.Pipeline_check.offset)
-               dst_cells
+           let src_mesh = Grids.find grids c.Pipeline_check.src_grid in
+           let dst_mesh = Grids.find grids c.Pipeline_check.dst_grid in
+           let ghost = c.Pipeline_check.ghost in
+           let dst_index =
+             flat_indices dst_mesh (Ivec.zero (Mesh.dims dst_mesh)) ghost
            in
            {
              chan = c;
              slots =
                Array.init c.Pipeline_check.depth (fun _ ->
-                   Array.make (Array.length dst_cells) 0.);
-             src_mesh = Grids.find grids c.Pipeline_check.src_grid;
-             dst_mesh = Grids.find grids c.Pipeline_check.dst_grid;
-             src_cells;
-             dst_cells;
+                   Array.make (Array.length dst_index) 0.);
+             src_mesh;
+             dst_mesh;
+             src_index = flat_indices src_mesh c.Pipeline_check.offset ghost;
+             dst_index;
              head = 0;
              tail = 0;
            })
@@ -160,13 +172,13 @@ let inject_undersize t =
 
 let send ring =
   let slot = ring.slots.(ring.tail mod Array.length ring.slots) in
-  Array.iteri (fun k p -> slot.(k) <- Mesh.get ring.src_mesh p) ring.src_cells;
+  Array.iteri (fun k i -> slot.(k) <- Mesh.get_flat ring.src_mesh i) ring.src_index;
   ring.tail <- ring.tail + 1;
   if Trace.on () then Atomic.incr sends
 
 let recv ring =
   let slot = ring.slots.(ring.head mod Array.length ring.slots) in
-  Array.iteri (fun k p -> Mesh.set ring.dst_mesh p slot.(k)) ring.dst_cells;
+  Array.iteri (fun k i -> Mesh.set_flat ring.dst_mesh i slot.(k)) ring.dst_index;
   ring.head <- ring.head + 1
 
 let run ?(sweeps = 1) t =

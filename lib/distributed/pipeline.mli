@@ -31,13 +31,12 @@ type t
 val certify :
   ?stream_axis:int ->
   ?depth_override:int ->
-  ?config:Sf_backends.Config.t ->
   Spmd.t ->
   Snowflake.Group.t ->
   Pipeline_check.certificate option * Diagnostics.t list
 (** Run the static analysis for this Spmd instance's shape and the
-    config's channel-memory budget ([Config.pipe_budget]) without building
-    anything.  [depth_override] forces every channel depth (the knob that
+    default channel-memory budget of [Pipeline_check.analyze] without
+    building anything.  [depth_override] forces every channel depth (the knob that
     makes SF031 deadlock witnesses reproducible: [~depth_override:0]). *)
 
 val create :

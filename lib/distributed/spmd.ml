@@ -98,63 +98,35 @@ let off dims a v =
    without reading its poisoned meshes. *)
 let face_stencil t ~base r axis side =
   let dims = t.dims in
-  let n = t.local_n in
-  let lo = Array.make dims 1 and hi = Array.make dims (-1) in
   let my = rank_name base r in
-  let plane_dom () =
-    Domain.of_rect (Domain.rect ~lo:(Ivec.to_list lo) ~hi:(Ivec.to_list hi) ())
+  (* [inward] points from the ghost plane into the rank's own interior *)
+  let tag, inward, edge, (plane_lo, plane_hi) =
+    match side with
+    | `Low -> ("lo", 1, 0, (0, 1))
+    | `High -> ("hi", -1, t.rank_grid.(axis) - 1, (-1, 0))
   in
-  match side with
-  | `Low ->
-      lo.(axis) <- 0;
-      hi.(axis) <- 1;
-      if r.(axis) = 0 then
-        Stencil.make
-          ~label:(Printf.sprintf "bc_%s_ax%d_lo" my axis)
-          ~output:my
-          ~expr:(Expr.neg (Expr.read my (off dims axis 1)))
-          ~domain:(plane_dom ()) ()
-      else begin
-        let neighbour = Array.copy r in
-        neighbour.(axis) <- r.(axis) - 1;
-        if is_dead t neighbour then
-          Stencil.make
-            ~label:(Printf.sprintf "dead_%s_ax%d_lo" my axis)
-            ~output:my
-            ~expr:(Expr.read my (off dims axis 1))
-            ~domain:(plane_dom ()) ()
-        else
-          Stencil.make
-            ~label:(Printf.sprintf "halo_%s_ax%d_lo" my axis)
-            ~output:my
-            ~expr:(Expr.read (rank_name base neighbour) (off dims axis n))
-            ~domain:(plane_dom ()) ()
-      end
-  | `High ->
-      lo.(axis) <- -1;
-      hi.(axis) <- 0;
-      if r.(axis) = t.rank_grid.(axis) - 1 then
-        Stencil.make
-          ~label:(Printf.sprintf "bc_%s_ax%d_hi" my axis)
-          ~output:my
-          ~expr:(Expr.neg (Expr.read my (off dims axis (-1))))
-          ~domain:(plane_dom ()) ()
-      else begin
-        let neighbour = Array.copy r in
-        neighbour.(axis) <- r.(axis) + 1;
-        if is_dead t neighbour then
-          Stencil.make
-            ~label:(Printf.sprintf "dead_%s_ax%d_hi" my axis)
-            ~output:my
-            ~expr:(Expr.read my (off dims axis (-1)))
-            ~domain:(plane_dom ()) ()
-        else
-          Stencil.make
-            ~label:(Printf.sprintf "halo_%s_ax%d_hi" my axis)
-            ~output:my
-            ~expr:(Expr.read (rank_name base neighbour) (off dims axis (-n)))
-            ~domain:(plane_dom ()) ()
-      end
+  let lo = Array.make dims 1 and hi = Array.make dims (-1) in
+  lo.(axis) <- plane_lo;
+  hi.(axis) <- plane_hi;
+  let make kind expr =
+    Stencil.make
+      ~label:(Printf.sprintf "%s_%s_ax%d_%s" kind my axis tag)
+      ~output:my ~expr
+      ~domain:
+        (Domain.of_rect
+           (Domain.rect ~lo:(Ivec.to_list lo) ~hi:(Ivec.to_list hi) ()))
+      ()
+  in
+  let own = Expr.read my (off dims axis inward) in
+  if r.(axis) = edge then make "bc" (Expr.neg own)
+  else begin
+    let neighbour = Array.copy r in
+    neighbour.(axis) <- r.(axis) - inward;
+    if is_dead t neighbour then make "dead" own
+    else
+      make "halo"
+        (Expr.read (rank_name base neighbour) (off dims axis (inward * t.local_n)))
+  end
 
 (* Dead ranks are scheduled around: no faces for them, and their alive
    neighbours' facing sides degrade to the one-sided stencils above. *)
@@ -172,15 +144,20 @@ let per_rank_stencil _t stencil r =
   Stencil.rename_grids (fun g -> rank_name g r) stencil
   |> fun s -> Stencil.relabel s (s.Stencil.label ^ rank_name "" r)
 
-let gsrb_smooth_group t =
+(* exchange/red/exchange/black, the colour sweeps over [ranks] (default:
+   the alive ones) *)
+let gsrb_group ?ranks t ~label =
+  let ranks = match ranks with Some rs -> rs | None -> alive t in
   let color c =
-    List.map (per_rank_stencil t (Nd.gsrb_color ~dims:t.dims ~color:c)) (alive t)
+    List.map (per_rank_stencil t (Nd.gsrb_color ~dims:t.dims ~color:c)) ranks
   in
-  Group.make ~label:"spmd_gsrb"
+  Group.make ~label
     (exchange_stencils t ~base:"u"
     @ color 0
     @ exchange_stencils t ~base:"u"
     @ color 1)
+
+let gsrb_smooth_group t = gsrb_group t ~label:"spmd_gsrb"
 
 let residual_group t =
   Group.make ~label:"spmd_residual"
@@ -274,23 +251,24 @@ let init_dinv t =
 (* physical coordinate of local index l on rank r along axis a *)
 let coord t r a l = (float_of_int ((r.(a) * t.local_n) + l) -. 0.5) *. h t
 
-let iter_rank_interior t fn =
-  let interior =
-    Domain.resolve_rect ~shape:t.shape
-      (Domain.rect
-         ~lo:(List.init t.dims (fun _ -> 1))
-         ~hi:(List.init t.dims (fun _ -> -1))
-         ())
-  in
-  List.iter (fun r -> Domain.iter interior (fun p -> fn r p)) (ranks t)
+let rank_interior t =
+  Domain.resolve_rect ~shape:t.shape
+    (Domain.rect
+       ~lo:(List.init t.dims (fun _ -> 1))
+       ~hi:(List.init t.dims (fun _ -> -1))
+       ())
+
+let fill_rank_interior t ~base r fn =
+  let m = Grids.find t.grids (rank_name base r) in
+  Domain.iter (rank_interior t) (fun p ->
+      let coords = Array.mapi (fun a l -> coord t r a l) p in
+      Mesh.set_flat m (Mesh.flat_index m p) (fn coords))
 
 let fill_interior t ~base fn =
   (* remember the fill: it is exactly the static data a recovered rank
      re-derives after losing its memory *)
   t.fills <- (base, fn) :: List.remove_assoc base t.fills;
-  iter_rank_interior t (fun r p ->
-      let coords = Array.mapi (fun a l -> coord t r a l) p in
-      Mesh.set (Grids.find t.grids (rank_name base r)) p (fn coords))
+  List.iter (fun r -> fill_rank_interior t ~base r fn) (ranks t)
 
 let fill_rank_betas t r beta =
   List.iter
@@ -316,34 +294,33 @@ let set_beta t beta =
 let global_shape t =
   Array.init t.dims (fun a -> (t.local_n * t.rank_grid.(a)) + 2)
 
+(* [fn m i gi] for every owned cell of every rank: its flat index [i] in
+   the rank's mesh [m] and [gi] in [global], a global-shape mesh *)
+let iter_owned t ~base ~global fn =
+  if Mesh.shape global <> global_shape t then
+    invalid_arg "Spmd: global mesh shape does not match the decomposition";
+  let gs = Mesh.strides global in
+  List.iter
+    (fun r ->
+      let m = Grids.find t.grids (rank_name base r) in
+      let origin = t.local_n * Ivec.dot gs r in
+      Domain.iter (rank_interior t) (fun p ->
+          fn m (Mesh.flat_index m p) (origin + Ivec.dot gs p)))
+    (ranks t)
+
 let gather t ~base =
   let g = Mesh.create (global_shape t) in
-  iter_rank_interior t (fun r p ->
-      let gp = Array.mapi (fun a l -> (r.(a) * t.local_n) + l) p in
-      Mesh.set g gp (Mesh.get (Grids.find t.grids (rank_name base r)) p));
+  iter_owned t ~base ~global:g (fun m i gi ->
+      Mesh.set_flat g gi (Mesh.get_flat m i));
   g
 
 let scatter t ~base global =
-  iter_rank_interior t (fun r p ->
-      let gp = Array.mapi (fun a l -> (r.(a) * t.local_n) + l) p in
-      Mesh.set (Grids.find t.grids (rank_name base r)) p (Mesh.get global gp))
+  iter_owned t ~base ~global (fun m i gi ->
+      Mesh.set_flat m i (Mesh.get_flat global gi))
 
 (* ------------------------------------------------------- rank recovery *)
 
 let dead_ranks t = Hashtbl.fold (fun _ r acc -> r :: acc) t.dead []
-
-let rank_interior t =
-  Domain.resolve_rect ~shape:t.shape
-    (Domain.rect
-       ~lo:(List.init t.dims (fun _ -> 1))
-       ~hi:(List.init t.dims (fun _ -> -1))
-       ())
-
-let fill_rank_interior t ~base r fn =
-  let m = Grids.find t.grids (rank_name base r) in
-  Domain.iter (rank_interior t) (fun p ->
-      let coords = Array.mapi (fun a l -> coord t r a l) p in
-      Mesh.set m p (fn coords))
 
 (* First guess for a lost rank's solution: per axis, linearly interpolate
    between the nearest owned planes of the two neighbours (which sit at
@@ -415,16 +392,7 @@ let recover ?(sweeps = 4) t =
        global solution — exchanges are full-width again, sweeps touch
        only the recovered ranks *)
     init_dinv t;
-    let color c =
-      List.map (per_rank_stencil t (Nd.gsrb_color ~dims:t.dims ~color:c)) dead
-    in
-    let g =
-      Group.make ~label:"spmd_recover"
-        (exchange_stencils t ~base:"u"
-        @ color 0
-        @ exchange_stencils t ~base:"u"
-        @ color 1)
-    in
+    let g = gsrb_group ~ranks:dead t ~label:"spmd_recover" in
     for _ = 1 to sweeps do
       run_group t g
     done

@@ -76,7 +76,8 @@ val gather : t -> base:string -> Mesh.t
     the ranks' owned cells (ghosts zero). *)
 
 val scatter : t -> base:string -> Mesh.t -> unit
-(** Distribute a global mesh's interior into the ranks' owned cells. *)
+(** Distribute a global mesh's interior into the ranks' owned cells.
+    Raises [Invalid_argument] unless the mesh has {!gather}'s shape. *)
 
 val run_group : t -> Group.t -> unit
 (** Compile (supervised, OpenMP-style backend, pool-wide workers) and run

@@ -84,19 +84,16 @@ let divergence_to_string d =
 
 let run_target spec target =
   let grids = Gen.build_grids spec in
-  let kernel =
+  let reps =
     match target.backend with
-    | _ when target.apps <= 1 ->
-        Jit.compile ~config:target.config target.backend ~shape:spec.shape
-          spec.group
-    | Jit.Custom _ ->
-        (* an injected multi-application backend builds its own
-           [apps]-application kernel — don't wrap it again *)
-        Jit.compile ~config:target.config target.backend ~shape:spec.shape
-          spec.group
-    | _ ->
-        Jit.compile_time_tiled ~config:target.config ~reps:target.apps
-          target.backend ~shape:spec.shape spec.group
+    (* an injected multi-application backend builds its own
+       [apps]-application kernel — don't wrap it again *)
+    | Jit.Custom _ -> 1
+    | _ -> max 1 target.apps
+  in
+  let kernel =
+    Jit.compile ~config:target.config ~reps target.backend ~shape:spec.shape
+      spec.group
   in
   let run () = kernel.Kernel.run ~params:spec.params grids in
   if target.native then Native.with_mode Native.Force run else run ();

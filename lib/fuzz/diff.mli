@@ -14,7 +14,7 @@ type target = {
   tname : string;  (** display name, e.g. ["openmp/w4/tile"] *)
   apps : int;
       (** applications per run (usually 1).  A target with [apps = k > 1]
-          runs one [Jit.compile_time_tiled ~reps:k] kernel and is compared
+          runs one [Jit.compile ~reps:k] kernel and is compared
           against k interp applications — the temporal-blocking oracle.
           [Custom] backends with [apps > 1] must build the k-application
           kernel themselves. *)

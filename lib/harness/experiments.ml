@@ -770,8 +770,7 @@ let run_fusion_bench opts =
         ( "ttile4",
           tplan,
           (Costing.of_timetile ~shape ~reps:sweeps group).Costing.bytes,
-          Jit.compile_time_tiled ~config:base ~reps:sweeps Jit.Openmp ~shape
-            group,
+          Jit.compile ~config:base ~reps:sweeps Jit.Openmp ~shape group,
           1 ))
     sizes;
   let rows = List.rev !rows in

@@ -224,8 +224,7 @@ let smooth_kernels t i ~count =
   let k = t.config.jit.Config.time_tile in
   let plain times = (compile t group ~shape, times) in
   if k > 1 && count >= k && Timetile.legal ~shape group then
-    ( Jit.compile_time_tiled ~config:t.config.jit ~reps:k t.active_backend
-        ~shape group,
+    ( Jit.compile ~config:t.config.jit ~reps:k t.active_backend ~shape group,
       count / k )
     :: (if count mod k = 0 then [] else [ plain (count mod k) ])
   else [ plain count ]

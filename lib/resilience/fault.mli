@@ -15,7 +15,7 @@
 
     A {e clause} arms one (site, kind) pair with optional occurrence and
     probability triggers.  Specs come from [SF_FAULTS] (parsed at load
-    time), [Config.faults], the [--faults] CLI flags, or {!arm} directly.
+    time), the [--faults] CLI flags, or {!arm} directly.
 
     {b Zero overhead when disarmed:} every site guards with {!armed} —
     one atomic load and a branch — before touching clause state, the same

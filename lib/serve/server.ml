@@ -229,17 +229,15 @@ let solve t job =
   in
   let kernel =
     coalesced_compile t ~key (fun () ->
-        if job.fault <> "" then
-          (* Unsupervised on purpose: an injected fault must reach the
-             request boundary as an ERROR, not heal by failover. *)
-          Jit.compile_time_tiled ~config:jconfig ~reps jbackend
-            ~shape:spec.Gen.shape spec.Gen.group
-        else if reps = 1 then
+        (* a faulted request runs unsupervised on purpose: an injected
+           fault must reach the request boundary as an ERROR, not heal by
+           failover *)
+        if job.fault = "" && reps = 1 then
           Supervise.compile ~config:jconfig jbackend ~shape:spec.Gen.shape
             spec.Gen.group
         else
-          Jit.compile_time_tiled ~config:jconfig ~reps jbackend
-            ~shape:spec.Gen.shape spec.Gen.group)
+          Jit.compile ~config:jconfig ~reps jbackend ~shape:spec.Gen.shape
+            spec.Gen.group)
   in
   let grids = Gen.build_grids spec in
   let t0 = Trace.now_us () in

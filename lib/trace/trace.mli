@@ -13,7 +13,7 @@
     instrumentation site in a hot path is guarded by {!on} — a single load
     of one [Atomic.t] and a branch.  No argument lists are built, no
     closures allocated and no locks taken unless tracing is enabled
-    ([SF_TRACE=1] in the environment, [Config.trace], the [--trace] CLI
+    ([SF_TRACE=1] in the environment, the [--trace] CLI
     flags, or {!set_enabled}).  A dedicated test asserts the disabled-mode
     bound.
 

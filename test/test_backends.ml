@@ -1120,6 +1120,42 @@ let test_jit_cache () =
   let hits, _ = Jit.cache_stats () in
   check_int "structural hit" 2 hits
 
+let test_jit_cache_reps () =
+  (* [reps] is part of the key: [~reps:1] is the plain entry, [~reps:2] a
+     second one whose single call equals two plain calls bit for bit *)
+  Jit.clear_cache ();
+  let shape = iv [ 11; 9 ] in
+  let group = gsrb_group () in
+  check_bool "gsrb is time-tileable" true (Timetile.legal ~shape group);
+  let plain = Jit.compile Jit.Compiled ~shape group in
+  check_bool "reps:1 is the plain entry" true
+    (Jit.compile ~reps:1 Jit.Compiled ~shape group == plain);
+  Alcotest.(check (pair int int)) "plain then reps:1" (1, 1) (Jit.cache_stats ());
+  let tiled = Jit.compile ~reps:2 Jit.Compiled ~shape group in
+  Alcotest.(check (pair int int)) "reps:2 misses" (1, 2) (Jit.cache_stats ());
+  check_bool "reps:2 hits" true
+    (Jit.compile ~reps:2 Jit.Compiled ~shape group == tiled);
+  Alcotest.(check (pair int int)) "reps:2 again" (2, 2) (Jit.cache_stats ());
+  let hex ?(config = Config.default) ?reps shape =
+    Jit.cache_key_hex ~config ?reps Jit.Compiled ~shape group
+  in
+  check_bool "hex keyed by reps" true (hex ~reps:2 shape <> hex shape);
+  Alcotest.(check string) "hex of reps:1 is the plain one" (hex shape)
+    (hex ~reps:1 shape);
+  (* every key component reaches the token, not only the first words *)
+  check_bool "hex keyed by the last axis" true
+    (hex (iv [ 11; 10 ]) <> hex shape);
+  check_bool "hex keyed by late config fields" true
+    (hex ~config:{ Config.default with Config.time_block = 4 } shape
+    <> hex shape);
+  let mesh () = Grids.of_list [ ("mesh", Mesh.random ~seed:31 shape) ] in
+  let twice = mesh () and once = mesh () in
+  plain.Kernel.run twice;
+  plain.Kernel.run twice;
+  tiled.Kernel.run once;
+  check_bool "reps:2 = two plain calls, bitwise" true
+    (Mesh.close (Grids.find twice "mesh") (Grids.find once "mesh"))
+
 let test_jit_thread_safety () =
   (* kernels may be compiled from worker domains: racing compiles of the
      same key must agree on one cached kernel and not corrupt counters *)
@@ -1471,6 +1507,7 @@ let () =
       ( "jit",
         [
           Alcotest.test_case "cache" `Quick test_jit_cache;
+          Alcotest.test_case "cache keyed by reps" `Quick test_jit_cache_reps;
           Alcotest.test_case "thread safety" `Quick test_jit_thread_safety;
           Alcotest.test_case "backend names" `Quick test_backend_names;
           Alcotest.test_case "custom registry" `Quick

@@ -306,9 +306,7 @@ let run_plain_gsrb ~config ~reps backend shape =
 
 let run_tiled_gsrb ~config ~reps backend shape =
   let grids = gsrb_mesh shape in
-  let kernel =
-    Jit.compile_time_tiled ~config ~reps backend ~shape (gsrb_group ())
-  in
+  let kernel = Jit.compile ~config ~reps backend ~shape (gsrb_group ()) in
   kernel.Kernel.run grids;
   Grids.find grids "mesh"
 
@@ -336,9 +334,7 @@ let test_timetile_wave_fault () =
      like every other backend's waves *)
   let module Fault = Sf_resilience.Fault in
   let shape = iv [ 13; 11 ] in
-  let kernel =
-    Jit.compile_time_tiled ~reps:2 Jit.Compiled ~shape (gsrb_group ())
-  in
+  let kernel = Jit.compile ~reps:2 Jit.Compiled ~shape (gsrb_group ()) in
   check_string "time-tiled" "timetile" kernel.Kernel.backend;
   Fun.protect
     ~finally:Fault.disarm
@@ -378,7 +374,7 @@ let test_timetile_fallback_loop () =
     plain.Kernel.run reference
   done;
   let got = mk_grids () in
-  (Jit.compile_time_tiled ~reps:3 Jit.Compiled ~shape:(iv [ 6 ]) group)
+  (Jit.compile ~reps:3 Jit.Compiled ~shape:(iv [ 6 ]) group)
     .Kernel.run got;
   assert_bitwise "fallback loop" (Grids.find reference "fine")
     (Grids.find got "fine")
@@ -417,7 +413,7 @@ let test_certify_timetile_sf024_sf025 () =
   check_bool "SF025 reported" true
     (List.exists (fun d -> d.Sf_analysis.Diagnostics.code = "SF025") diags)
 
-let test_compile_time_tiled_certify_rejects_illegal () =
+let test_time_tiled_certify_rejects_illegal () =
   (* under Config.certify an untileable group raises instead of silently
      falling back *)
   let bad =
@@ -432,7 +428,7 @@ let test_compile_time_tiled_certify_rejects_illegal () =
   in
   let config = { Config.default with Config.certify = true } in
   match
-    Jit.compile_time_tiled ~config ~reps:2 Jit.Compiled ~shape:(iv [ 6 ]) bad
+    Jit.compile ~config ~reps:2 Jit.Compiled ~shape:(iv [ 6 ]) bad
   with
   | _ -> ()
 (* an illegal group never yields a time-tile plan, so the fallback loop is
@@ -540,11 +536,8 @@ let test_autotune_replay_bitwise () =
       let run (r : Autotune.result) workers =
         let config = { r.Autotune.config with Config.workers } in
         let grids = gsrb_mesh shape in
-        (if r.Autotune.plan.Autotune.time_tile > 1 then
-           Jit.compile_time_tiled ~config ~reps:4 Jit.Openmp ~shape group
-         else
-           Jit.compile ~config Jit.Openmp ~shape group)
-          .Kernel.run grids;
+        let reps = if r.Autotune.plan.Autotune.time_tile > 1 then 4 else 1 in
+        (Jit.compile ~config ~reps Jit.Openmp ~shape group).Kernel.run grids;
         Grids.find grids "mesh"
       in
       let r1 = tune 1 in
@@ -594,7 +587,7 @@ let () =
           Alcotest.test_case "SF024/SF025" `Quick
             test_certify_timetile_sf024_sf025;
           Alcotest.test_case "certify + fallback" `Quick
-            test_compile_time_tiled_certify_rejects_illegal;
+            test_time_tiled_certify_rejects_illegal;
         ] );
       ( "costing",
         [

@@ -103,7 +103,7 @@ let plan_cases ~shape =
     plain Jit.Opencl Config.default;
     ( "timetile",
       two_stencil_group,
-      (fun group -> Jit.compile_time_tiled ~reps:2 Jit.Compiled ~shape group),
+      (fun group -> Jit.compile ~reps:2 Jit.Compiled ~shape group),
       fun group ->
         match Timetile.plan Config.default ~shape ~reps:2 group with
         | Some p -> Timetile.nblocks p ~shape

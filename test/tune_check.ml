@@ -32,12 +32,12 @@ let () =
   let measure cfg =
     incr measured;
     let p = Autotune.plan_of_config cfg in
+    let tiled = p.Autotune.time_tile > 1 in
     let kernel =
-      if p.Autotune.time_tile > 1 then
-        Jit.compile_time_tiled ~config:cfg ~reps backend ~shape group
-      else Jit.compile ~config:cfg backend ~shape group
+      Jit.compile ~config:cfg ~reps:(if tiled then reps else 1) backend ~shape
+        group
     in
-    let apps = if p.Autotune.time_tile > 1 then 1 else reps in
+    let apps = if tiled then 1 else reps in
     let t0 = Unix.gettimeofday () in
     for _ = 1 to apps do
       kernel.Kernel.run ~params:(Level.params level) level.Level.grids
