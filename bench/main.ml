@@ -68,8 +68,8 @@ let micro_tests () =
     let level = mk_level () in
     let kernel = Jit.compile Jit.Compiled ~shape:level.Level.shape group in
     Test.make ~name
-      (Staged.stage (fun () ->
-           kernel.Kernel.run ~params:(Level.params level) level.Level.grids))
+      (Staged.stage
+         (kernel.Kernel.bind ~params:(Level.params level) level.Level.grids))
   in
   let hand_test name f =
     let level = mk_level () in

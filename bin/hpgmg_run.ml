@@ -132,9 +132,12 @@ let run n cycles backend_name workers variable fcycle interp_linear profile
             ~shape group
         in
         let apps = if tiled then 1 else reps in
+        let run =
+          kernel.Kernel.bind ~params:(Level.params level) level.Level.grids
+        in
         let once () =
           for _ = 1 to apps do
-            kernel.Kernel.run ~params:(Level.params level) level.Level.grids
+            run ()
           done
         in
         once ();

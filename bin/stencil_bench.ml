@@ -56,8 +56,7 @@ let run op_name n backend_name workers repeats tile autotune trace_file =
   let kernel = Jit.compile ~config backend ~shape:level.Level.shape group in
   let dt =
     Sf_harness.Timer.time ~label:("bench:" ^ op_name) ~warmup:1 ~repeats
-      (fun () ->
-        kernel.Kernel.run ~params:(Level.params level) level.Level.grids)
+      (kernel.Kernel.bind ~params:(Level.params level) level.Level.grids)
   in
   let points = float_of_int (n * n * n) in
   let host = Machine.host ~bandwidth_gbs:bw () in

@@ -152,8 +152,9 @@ let () =
   let r0 = residual () in
   Printf.printf "initial residual: %.4e\n" r0;
   let total = 600 in
+  let sweep = kernel.Kernel.bind ~params grids in
   for it = 1 to total do
-    kernel.Kernel.run ~params grids;
+    sweep ();
     if it mod 200 = 0 then
       Printf.printf "after %3d GSRB iterations: residual %.4e\n" it
         (residual ())

@@ -46,13 +46,16 @@ let () =
       Jit.Openmp ~shape:t.Spmd.shape group
   in
   let residual = Jit.compile Jit.Compiled ~shape:t.Spmd.shape (Spmd.residual_group t) in
+  let params = Spmd.params t in
+  let residual = residual.Kernel.bind ~params t.Spmd.grids in
+  let smooth = smooth.Kernel.bind ~params t.Spmd.grids in
   let res_norm () =
-    residual.Kernel.run ~params:(Spmd.params t) t.Spmd.grids;
+    residual ();
     Sf_mesh.Mesh.norm_l2 (Spmd.gather t ~base:"res")
   in
   Printf.printf "initial residual: %.3e\n" (res_norm ());
   for sweep = 1 to 600 do
-    smooth.Kernel.run ~params:(Spmd.params t) t.Spmd.grids;
+    smooth ();
     if sweep mod 200 = 0 then
       Printf.printf "after %3d sweeps: residual %.3e\n" sweep (res_norm ())
   done;

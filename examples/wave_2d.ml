@@ -108,11 +108,12 @@ let () =
     !kin +. !pot
   in
   (* one step to establish the first velocity, then track energy *)
-  kernel.Kernel.run ~params grids;
+  let step = kernel.Kernel.bind ~params grids in
+  step ();
   let e0 = energy () in
   let drift = ref 0. in
   for s = 2 to 400 do
-    kernel.Kernel.run ~params grids;
+    step ();
     if s mod 100 = 0 then begin
       let e = energy () in
       drift := Float.max !drift (Float.abs ((e -. e0) /. e0));

@@ -7,7 +7,6 @@ type t = {
   tall_skinny : int * int;
   multicolor : bool;
   schedule : schedule;
-  validate : bool;
   inline_producers : bool;
   dce : dce;
   serial_cutoff : int;
@@ -49,7 +48,6 @@ let default =
     tall_skinny = (8, 64);
     multicolor = false;
     schedule = Greedy_waves;
-    validate = true;
     inline_producers = false;
     dce = No_dce;
     serial_cutoff = default_serial_cutoff;

@@ -21,7 +21,6 @@ type t = {
       (** interleave the tiles of a domain-union (colored) stencil
           spatially instead of color-by-color *)
   schedule : schedule;
-  validate : bool;  (** bounds/shape checks at kernel invocation *)
   inline_producers : bool;
       (** [Passes.fuse_pass]: substitute a producer's expression into its
           consumer when the analysis proves it legal (producer consumed at
@@ -85,7 +84,7 @@ val default_fusion : bool
 val default : t
 (** Sequential-friendly defaults: [workers] = {!default_workers}, no
     explicit tile, [chunks = 8], tall-skinny [8 x 64], multicolor off,
-    greedy waves, validation on, no fusion, no DCE,
+    greedy waves, no fusion, no DCE,
     [serial_cutoff] = {!default_serial_cutoff},
     [certify] = {!default_certify}, no forced-parallel overrides,
     [fusion] = {!default_fusion}, [time_tile = 1] (off),

@@ -126,7 +126,7 @@ let run_rect_closure grids ~params (s : Stencil.t) rect =
 (* grid's data), a counter (one flat position per distinct stride·scale *)
 (* vector, so grids advancing in lockstep share it) and a constant      *)
 (* delta off that counter.  All of this is computed once per kernel     *)
-(* invocation; running a tile costs index arithmetic only.  The closure *)
+(* bind; running a tile costs index arithmetic only.  The closure       *)
 (* tier below evaluates the node; Native runs the same node as compiled *)
 (* code once the structure is hot.                                      *)
 (* ------------------------------------------------------------------- *)
@@ -524,8 +524,8 @@ let run_cold prep geom oidx pos =
    computed here, once; the returned thunk asks the native tier what to
    run and runs it.  The thunk owns its odometer and position buffers, so
    distinct tiles may run concurrently while one tile's thunk is reused
-   across kernel invocations for free.  It is the only closure per tile:
-   every compiled kernel keeps its tiles alive. *)
+   by every run of its instance for free.  It is the only closure per
+   tile: every bound instance keeps its tiles alive. *)
 let instantiate_poly prep rect =
   let cnt = Domain.counts rect in
   let n = Ivec.dims cnt in

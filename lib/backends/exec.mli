@@ -1,7 +1,7 @@
 (** Rect executors: the innermost machinery shared by all backends.
 
     A backend lowers a stencil group to a schedule of (stencil, lattice
-    tile) tasks.  {!prepare_compiled} performs the per-invocation
+    tile) tasks.  {!prepare_compiled} performs the per-bind
     compilation work for one stencil — polynomial normalisation and
     factoring ({!Polyform}), lowering to a {!Native_emit.node}, grid lookups
     — and returns a reusable, thread-safe tile runner; executing the (many)
@@ -45,7 +45,6 @@ val prepare_compiled :
 val validate_stencil : Grids.t -> shape:Sf_util.Ivec.t -> Stencil.t -> unit
 (** Checks that every touched grid exists, ranks agree with the iteration
     shape, and all accesses stay in bounds; raises [Invalid_argument] with a
-    descriptive message otherwise.  [Plan.execute] calls this (under
-    [Config.validate]) once per new (grids, params) binding in its
-    [Run_cache], before instantiating any unchecked loop; invocations
-    that reuse a binding skip it. *)
+    descriptive message otherwise.  Every [Kernel.bind] of a
+    [Plan.execute] kernel calls this on each stencil before it
+    instantiates any unchecked loop, so no instance runs unvalidated. *)

@@ -74,24 +74,21 @@ let cells = Sf_trace.Metrics.counter "jit.cells"
 module Trace = Sf_trace.Trace
 module Fault = Sf_resilience.Fault
 
-(* The "kernel" fault site lives in the instrument wrapper, so every
-   backend inherits it.  Raise/Transient abort the invocation before any
-   wave runs; poison kinds corrupt the first output grid's center point
-   *after* a successful run (poisoning before would be overwritten by the
-   kernel itself) — exactly the silent-data-corruption shape the guard
-   scans and checkpoint rollback exist to catch. *)
-let apply_poison outputs grids v =
-  match outputs with
-  | [] -> ()
-  | name :: _ -> (
-      match Sf_mesh.Grids.find_opt grids name with
-      | Some m ->
-          let n = Sf_mesh.Mesh.size m in
-          if n > 0 then Sf_mesh.Mesh.set_flat m (n / 2) v
-      | None -> ())
+(* The "kernel" fault site lives in the instrument wrapper's instances,
+   so every backend inherits it.  Raise/Transient abort the run before
+   any wave runs; poison kinds corrupt the first output grid's
+   center point *after* a successful run (poisoning before would be
+   overwritten by the kernel itself) — exactly the silent-data-corruption
+   shape the guard scans and checkpoint rollback exist to catch. *)
+let apply_poison target v =
+  match target with
+  | Some m ->
+      let n = Sf_mesh.Mesh.size m in
+      if n > 0 then Sf_mesh.Mesh.set_flat m (n / 2) v
+  | None -> ()
 
 (* Every compiled kernel is wrapped in a trace guard at compile time, so
-   each invocation — from user code, [Mg], [Spmd] or the bench harness —
+   each instance run — from user code, [Mg], [Spmd] or the bench harness —
    becomes a [kernel] span attributed to its group and backend and
    annotated with the analytic cells/flops/bytes of one run (the executed
    plan's own cost).  The span arguments are computed once per cache
@@ -107,24 +104,27 @@ let instrument ~cost ~backend group (kernel : Kernel.t) =
     @ Costing.args cost
   in
   let fault_detail = backend ^ ":" ^ group.Group.label in
-  let outputs = Group.outputs group in
-  let run ?params grids =
-    let poison =
-      if Fault.armed () then Fault.fire ~site:"kernel" ~detail:fault_detail
-      else None
-    in
-    (if Trace.on () then begin
-       ignore (Atomic.fetch_and_add cells cost.Costing.cells);
-       Trace.span ~args:span_args Trace.Kernel group.Group.label (fun () ->
-           kernel.Kernel.run ?params grids)
-     end
-     else kernel.Kernel.run ?params grids);
-    match poison with
-    | Some Fault.Nan_poison -> apply_poison outputs grids Float.nan
-    | Some Fault.Inf_poison -> apply_poison outputs grids Float.infinity
-    | _ -> ()
+  let first_output = List.nth_opt (Group.outputs group) 0 in
+  let bind ?params grids =
+    let run = kernel.Kernel.bind ?params grids in
+    let target = Option.bind first_output (Sf_mesh.Grids.find_opt grids) in
+    fun () ->
+      let poison =
+        if Fault.armed () then Fault.fire ~site:"kernel" ~detail:fault_detail
+        else None
+      in
+      (if Trace.on () then begin
+         ignore (Atomic.fetch_and_add cells cost.Costing.cells);
+         Trace.span ~args:span_args Trace.Kernel group.Group.label run
+       end
+       else run ());
+      match poison with
+      | Some Fault.Nan_poison -> apply_poison target Float.nan
+      | Some Fault.Inf_poison -> apply_poison target Float.infinity
+      | _ -> ()
   in
-  { kernel with Kernel.run }
+  Kernel.make ~name:kernel.Kernel.name ~backend:kernel.Kernel.backend
+    ~description:kernel.Kernel.description bind
 
 let lower ?(config = Config.default) backend ~shape group =
   let group = Passes.optimize config ~shape group in
@@ -240,17 +240,15 @@ and time_tiled config ~reps backend ~shape group =
       (* the plain fallback's inner kernel is instrumented by [compile]
          itself: one span per application *)
       let inner = compile ~config backend ~shape group in
-      let run ?params grids =
-        for _ = 1 to reps do
-          inner.Kernel.run ?params grids
-        done
-      in
-      {
-        inner with
-        Kernel.run;
-        Kernel.description =
-          Printf.sprintf "%d rep(s) of [%s]" reps inner.Kernel.description;
-      }
+      Kernel.make ~name:inner.Kernel.name ~backend:inner.Kernel.backend
+        ~description:
+          (Printf.sprintf "%d rep(s) of [%s]" reps inner.Kernel.description)
+        (fun ?params grids ->
+          let run = inner.Kernel.bind ?params grids in
+          fun () ->
+            for _ = 1 to reps do
+              run ()
+            done)
 
 let register_backend ~name compiler =
   if List.mem name builtin_names then

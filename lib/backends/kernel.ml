@@ -1,14 +1,18 @@
 open Sf_mesh
 
+type instance = unit -> unit
+
 type t = {
   name : string;
   backend : string;
-  run : ?params:(string * float) list -> Grids.t -> unit;
   description : string;
+  bind : ?params:(string * float) list -> Grids.t -> instance;
+  run : ?params:(string * float) list -> Grids.t -> unit;
 }
 
-let make ~name ~backend ?(description = "") run =
-  { name; backend; run; description }
+let make ~name ~backend ?(description = "") bind =
+  let run ?params grids = bind ?params grids () in
+  { name; backend; description; bind; run }
 
 let param_lookup ?loc bindings p =
   match List.assoc_opt p bindings with

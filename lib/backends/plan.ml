@@ -2,7 +2,7 @@
 
    A backend only chooses a decomposition (paper §IV): it lowers a group
    to waves of tasks of (stencil, tile) steps.  Everything else a kernel
-   invocation does — instantiating the steps once per binding, trace
+   does — validating and instantiating the steps once per bind, trace
    spans, the wave fault site, inline-or-pool dispatch — lives here. *)
 
 open Snowflake
@@ -89,45 +89,6 @@ let execute ~tier (cfg : Config.t) plan =
     Pool.create ~workers:cfg.Config.workers
     |> Pool.with_serial_cutoff cfg.Config.serial_cutoff
   in
-  let cache = Run_cache.create () in
-  let grid_names = Group.grids plan.group in
-  let stencils = Group.stencils plan.group in
-  (* per binding: every stencil validated and prepared once, every step
-     instantiated into a zero-setup thunk *)
-  let instantiate grids params =
-    if cfg.Config.validate then
-      List.iter (Exec.validate_stencil grids ~shape) stencils;
-    let prepare (s : Stencil.t) =
-      let params =
-        Kernel.param_lookup
-          ~loc:(Srcloc.stencil ~group:glabel s.Stencil.label)
-          params
-      in
-      match tier with
-      | Interp -> fun rect () -> Exec.run_rect_interp grids ~params s rect
-      | Compiled -> Exec.prepare_compiled grids ~params s
-    in
-    let prepared = ref [] in
-    let runner s =
-      match List.assq_opt s !prepared with
-      | Some f -> f
-      | None ->
-          let f = prepare s in
-          prepared := (s, f) :: !prepared;
-          f
-    in
-    Array.map
-      (fun w ->
-        Array.map
-          (fun task ->
-            match List.map (fun (s, tile) -> runner s tile) task with
-            | [ f ] -> f
-            | fs ->
-                let fs = Array.of_list fs in
-                fun () -> Array.iter (fun f -> f ()) fs)
-          w.tasks)
-      waves
-  in
   let run_wave i tasks =
     (* the "wave" fault site: Raise/Transient abort the wave (the
        supervisor's retry/failover absorbs them), Delay sleeps inside
@@ -152,12 +113,50 @@ let execute ~tier (cfg : Config.t) plan =
       Trace.Wave (wave_name i)
       (fun () -> run_wave i tasks)
   in
-  let run ?(params = []) grids =
-    let runs =
-      Run_cache.get cache ~grids ~names:grid_names ~params (fun () ->
-          instantiate grids params)
+  let stencils = Group.stencils plan.group in
+  let grid_names = Group.grids plan.group in
+  (* per bind: every stencil validated and prepared once, every step
+     instantiated into a zero-setup thunk; the instance only runs them *)
+  let bind ?(params = []) grids =
+    List.iter (Exec.validate_stencil grids ~shape) stencils;
+    (* the instance keeps these meshes, whatever [grids] binds later *)
+    let grids =
+      Sf_mesh.Grids.of_list
+        (List.map (fun g -> (g, Sf_mesh.Grids.find grids g)) grid_names)
     in
-    Array.iteri (if Trace.on () then traced_wave else run_wave) runs
+    let prepare (s : Stencil.t) =
+      let params =
+        Kernel.param_lookup
+          ~loc:(Srcloc.stencil ~group:glabel s.Stencil.label)
+          params
+      in
+      match tier with
+      | Interp -> fun rect () -> Exec.run_rect_interp grids ~params s rect
+      | Compiled -> Exec.prepare_compiled grids ~params s
+    in
+    let prepared = ref [] in
+    let runner s =
+      match List.assq_opt s !prepared with
+      | Some f -> f
+      | None ->
+          let f = prepare s in
+          prepared := (s, f) :: !prepared;
+          f
+    in
+    let runs =
+      Array.map
+        (fun w ->
+          Array.map
+            (fun task ->
+              match List.map (fun (s, tile) -> runner s tile) task with
+              | [ f ] -> f
+              | fs ->
+                  let fs = Array.of_list fs in
+                  fun () -> Array.iter (fun f -> f ()) fs)
+            w.tasks)
+        waves
+    in
+    fun () -> Array.iteri (if Trace.on () then traced_wave else run_wave) runs
   in
   Kernel.make ~name:glabel ~backend:plan.backend
-    ~description:plan.description run
+    ~description:plan.description bind

@@ -72,10 +72,11 @@ type tier = Interp | Compiled
     [Compiled] instantiates tiles with [Exec.prepare_compiled]. *)
 
 val execute : tier:tier -> Config.t -> t -> Kernel.t
-(** The one executor.  Per new (grids, params) binding ([Run_cache]) it
-    validates the group's stencils (under [Config.validate]), looks up
-    parameters and instantiates every step once.  Each call then runs
-    the waves in order.  Every wave is one [Wave] trace span named
+(** The one executor.  The kernel's [bind] validates every stencil of
+    the group against the grids ([Exec.validate_stencil]; raises
+    [Invalid_argument] before any instance exists), looks parameters up
+    and instantiates every step once.  The instance then runs the waves
+    in order with no lookup.  Every wave is one [Wave] trace span named
     [<group>/wave<i>] with arguments [group], [wave], [stencil] (the
     wave label), [points] and [tasks]; it consults the [wave] fault site
     with that same detail before its body runs.  A wave of one task runs

@@ -1,14 +1,14 @@
-(** Supervised compilation: {!Jit.compile} plus per-invocation retry,
+(** Supervised compilation: {!Jit.compile} plus per-run retry,
     guard scans and an ordered backend failover chain.
 
     A kernel compiled here behaves exactly like the bare jitted kernel on
     a clean run (the supervised path engages only while
     [Sf_resilience.Fault] is armed or a guard mode is active — two atomic
-    loads and a branch otherwise).  Under faults, each invocation runs
+    loads and a branch otherwise).  Under faults, each instance run goes
     under [Sf_resilience.Supervisor.run]: transient failures are retried
-    with bounded backoff on the same backend; persistent ones recompile
-    the same group on the next backend of {!chain} and replay the
-    invocation there; after every successful run the group's output grids
+    with bounded backoff on the same backend; persistent ones compile and
+    bind the same group on the next backend of {!chain} and replay the
+    run there; after every successful run the group's output grids
     are guard-scanned so NaN/Inf corruption fails over too.  Every
     retry/failover is a counter increment ([supervisor.retries] /
     [supervisor.failovers]) and, when tracing is on, a span marker. *)
@@ -30,6 +30,7 @@ val compile :
   Group.t ->
   Kernel.t
 (** Like {!Jit.compile} (same cache, same instrumentation) with the
-    supervised [run] described above.  Failover compiles go through the
-    Jit cache, so after the first failover the fallback kernel is a cache
-    hit. *)
+    supervised instances described above: [bind] binds the primary
+    kernel only; a fallback backend is compiled (through the Jit cache,
+    so a hit after the first failover) and bound only when an attempt
+    fails. *)

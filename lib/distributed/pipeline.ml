@@ -28,7 +28,7 @@ type ring = {
   mutable tail : int;  (* messages sent *)
 }
 
-type node = { kernel : Sf_backends.Kernel.t option; ins : int list; outs : int list }
+type node = { run : Sf_backends.Kernel.instance option; ins : int list; outs : int list }
 
 type t = {
   spmd : Spmd.t;
@@ -112,6 +112,7 @@ let create ?stream_axis ?depth_override ?(config = Config.default) spmd group =
   (* inner kernels run serially: parallelism comes from scheduling many
      (rank, stage) nodes concurrently across the pool *)
   let kconfig = Config.with_workers 1 config in
+  let params = Spmd.params spmd in
   let nranks = List.length cert.Pipeline_check.ranks in
   let nodes =
     Array.init nranks (fun ri ->
@@ -125,7 +126,7 @@ let create ?stream_axis ?depth_override ?(config = Config.default) spmd group =
                   && not (List.mem i consumers))
                 (Array.to_list stencils)
             in
-            let kernel =
+            let run =
               match mine with
               | [] -> None
               | _ ->
@@ -135,8 +136,9 @@ let create ?stream_axis ?depth_override ?(config = Config.default) spmd group =
                       mine
                   in
                   Some
-                    (Jit.compile ~config:kconfig Jit.Openmp
-                       ~shape:spmd.Spmd.shape g)
+                    ((Jit.compile ~config:kconfig Jit.Openmp
+                        ~shape:spmd.Spmd.shape g)
+                       .Sf_backends.Kernel.bind ~params grids)
             in
             let ins = ref [] and outs = ref [] in
             Array.iteri
@@ -151,7 +153,7 @@ let create ?stream_axis ?depth_override ?(config = Config.default) spmd group =
                   && c.Pipeline_check.src_stage = st
                 then outs := k :: !outs)
               rings;
-            { kernel; ins = List.rev !ins; outs = List.rev !outs }))
+            { run; ins = List.rev !ins; outs = List.rev !outs }))
   in
   {
     spmd;
@@ -190,7 +192,6 @@ let run ?(sweeps = 1) t =
   | diags -> refuse t.label diags);
   let stages = t.cert.Pipeline_check.stages in
   let nranks = Array.length t.nodes in
-  let params = Spmd.params t.spmd in
   let total = sweeps * stages in
   (* per-rank program counter: pc = wave * stages + stage *)
   let pc = Array.make nranks 0 in
@@ -233,9 +234,7 @@ let run ?(sweeps = 1) t =
             List.map
               (fun (_ri, _w, _st, n) () ->
                 List.iter (fun k -> recv t.rings.(k)) n.ins;
-                (match n.kernel with
-                | Some k -> k.Sf_backends.Kernel.run ~params t.spmd.Spmd.grids
-                | None -> ());
+                Option.iter (fun run -> run ()) n.run;
                 List.iter (fun k -> send t.rings.(k)) n.outs)
               (List.rev batch)
           in

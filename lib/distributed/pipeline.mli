@@ -48,9 +48,9 @@ val create :
   t
 (** Certify the group and build the pipelined executor: ring buffers at
     the certified depths, per-(rank, stage) kernels with channel-consumer
-    halo stencils removed.  Raises [Sf_backends.Jit.Certification_failed]
-    (backend ["pipeline"]) when certification fails — a plan lacking a
-    certificate never runs. *)
+    halo stencils removed, each bound once to the Spmd grids.  Raises
+    [Sf_backends.Jit.Certification_failed] (backend ["pipeline"]) when
+    certification fails — a plan lacking a certificate never runs. *)
 
 val certificate : t -> Pipeline_check.certificate
 

@@ -109,8 +109,9 @@ let run_closure spec =
 let run_reference ?(apps = 1) spec =
   let grids = Gen.build_grids spec in
   let kernel = Jit.compile Jit.Interp ~shape:spec.shape spec.group in
+  let run = kernel.Kernel.bind ~params:spec.params grids in
   for _ = 1 to apps do
-    kernel.Kernel.run ~params:spec.params grids
+    run ()
   done;
   grids
 
@@ -228,6 +229,19 @@ let compiled config ~shape group =
   Plan.execute ~tier:Plan.Compiled config
     (Serial_backend.lower ~backend:"compiled" ~shape group)
 
+(* the compiled kernel, then [bug] applied to its first output mesh *)
+let compiled_then config ~shape group what bug =
+  let k = compiled config ~shape group in
+  let out = (List.hd (Group.stencils group)).Stencil.output in
+  Kernel.make ~name:k.Kernel.name ~backend:buggy_name
+    ~description:("compiled, then " ^ what)
+    (fun ?params grids ->
+      let run = k.Kernel.bind ?params grids
+      and bug = bug (Grids.find grids out) in
+      fun () ->
+        run ();
+        bug ())
+
 let injected_target bug =
   Jit.register_backend ~name:buggy_name (fun config ~shape group ->
       match bug with
@@ -242,20 +256,10 @@ let injected_target bug =
           in
           compiled config ~shape group'
       | Perturb_first_cell ->
-          let k = compiled config ~shape group in
-          let out = (List.hd (Group.stencils group)).Stencil.output in
-          Kernel.make ~name:k.Kernel.name ~backend:buggy_name
-            ~description:"compiled + one perturbed cell"
-            (fun ?params grids ->
-              k.Kernel.run ?params grids;
-              let m = Grids.find grids out in
+          compiled_then config ~shape group "one perturbed cell" (fun m () ->
               Mesh.set_flat m 0 (Mesh.get_flat m 0 +. 1e-3))
       | Kernel_raise ->
-          let k = compiled config ~shape group in
-          Kernel.make ~name:k.Kernel.name ~backend:buggy_name
-            ~description:"compiled, then raises"
-            (fun ?params grids ->
-              k.Kernel.run ?params grids;
+          compiled_then config ~shape group "raises" (fun _ () ->
               raise
                 (Sf_resilience.Fault.Injected
                    {
@@ -264,13 +268,8 @@ let injected_target bug =
                      detail = buggy_name ^ ":" ^ group.Group.label;
                    }))
       | Nan_poison_cell ->
-          let k = compiled config ~shape group in
-          let out = (List.hd (Group.stencils group)).Stencil.output in
-          Kernel.make ~name:k.Kernel.name ~backend:buggy_name
-            ~description:"compiled + one NaN-poisoned cell"
-            (fun ?params grids ->
-              k.Kernel.run ?params grids;
-              Mesh.set_flat (Grids.find grids out) 0 Float.nan)
+          compiled_then config ~shape group "one NaN-poisoned cell" (fun m () ->
+              Mesh.set_flat m 0 Float.nan)
       | Mis_skew_tile -> (
           (* a two-application temporal block whose skew is forced to 0:
              whenever the group actually carries an axis-0 dependence
@@ -293,8 +292,10 @@ let injected_target bug =
               Kernel.make ~name:k.Kernel.name ~backend:buggy_name
                 ~description:"two plain applications"
                 (fun ?params grids ->
-                  k.Kernel.run ?params grids;
-                  k.Kernel.run ?params grids)));
+                  let run = k.Kernel.bind ?params grids in
+                  fun () ->
+                    run ();
+                    run ())));
   {
     backend = Jit.Custom buggy_name;
     config = Config.default;

@@ -127,8 +127,7 @@ let time_group opts backend config level group =
     Jit.compile ~config backend ~shape:level.Level.shape group
   in
   Timer.time ~label:group.Group.label ~warmup:1 ~repeats:opts.repeats
-    (fun () ->
-      kernel.Kernel.run ~params:(Level.params level) level.Level.grids)
+    (kernel.Kernel.bind ~params:(Level.params level) level.Level.grids)
 
 (* ------------------------------------------------------------------ E2 *)
 
@@ -407,19 +406,17 @@ let run_waves opts =
   let config = Config.with_workers (max 2 opts.workers) Config.default in
   let t_waves = time_group opts Jit.Openmp config level group in
   (* a barrier after every stencil: each stencil compiled as its own group *)
-  let singleton_kernels =
+  let singletons =
     List.map
       (fun s ->
-        Jit.compile ~config Jit.Openmp ~shape
-          (Group.make ~label:("solo_" ^ s.Stencil.label) [ s ]))
+        (Jit.compile ~config Jit.Openmp ~shape
+           (Group.make ~label:("solo_" ^ s.Stencil.label) [ s ]))
+          .Kernel.bind ~params:(Level.params level) level.Level.grids)
       (Group.stencils group)
   in
   let t_serial =
     Timer.time ~warmup:1 ~repeats:opts.repeats (fun () ->
-        List.iter
-          (fun (k : Kernel.t) ->
-            k.Kernel.run ~params:(Level.params level) level.Level.grids)
-          singleton_kernels)
+        List.iter (fun run -> run ()) singletons)
   in
   let t = Tabular.create ~headers:[ "schedule"; "barriers"; "time" ] in
   Tabular.add_row t
@@ -498,8 +495,7 @@ let run_fusion opts =
       let optimized = Sf_backends.Passes.optimize config ~shape pipeline in
       let kernel = Jit.compile ~config Jit.Compiled ~shape pipeline in
       let dt =
-        Timer.time ~warmup:1 ~repeats:opts.repeats (fun () ->
-            kernel.Kernel.run grids)
+        Timer.time ~warmup:1 ~repeats:opts.repeats (kernel.Kernel.bind grids)
       in
       Tabular.add_row t
         [
@@ -586,8 +582,8 @@ let run_distributed opts =
       Jit.Openmp ~shape:t.Spmd.shape group
   in
   let t_spmd =
-    Timer.time ~warmup:1 ~repeats:opts.repeats (fun () ->
-        kernel.Kernel.run ~params:(Spmd.params t) t.Spmd.grids)
+    Timer.time ~warmup:1 ~repeats:opts.repeats
+      (kernel.Kernel.bind ~params:(Spmd.params t) t.Spmd.grids)
   in
   let single = prepared_level (2 * local) in
   let t_single =
@@ -717,11 +713,12 @@ let run_fusion_bench opts =
       let params = Level.params level in
       let grids = level.Level.grids in
       let run_variant (variant, plan, bytes, kernel, runs_per_sample) =
+        let run = kernel.Kernel.bind ~params grids in
         let dt =
           Timer.time ~label:variant ~warmup:1 ~repeats:opts.repeats
             (fun () ->
               for _ = 1 to runs_per_sample do
-                kernel.Kernel.run ~params grids
+                run ()
               done)
         in
         let cells = sweeps * n * n * n in

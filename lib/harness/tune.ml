@@ -34,7 +34,7 @@ let evaluate ?candidates ?(repeats = 2) ~backend ~shape ~params ~grids group =
     (fun config ->
       let kernel = Jit.compile ~config backend ~shape group in
       let time =
-        Timer.time ~warmup:1 ~repeats (fun () -> kernel.Kernel.run ~params grids)
+        Timer.time ~warmup:1 ~repeats (kernel.Kernel.bind ~params grids)
       in
       { config; time })
     candidates

@@ -34,6 +34,21 @@ type groups = {
   interp : Group.t;
 }
 
+(* One level's operators, bound to its meshes: what a cycle runs, with
+   no compile and no lookup.  The smoother keeps its kernel for
+   [smoother_plan]'s descriptions. *)
+type ops = {
+  smooth : Kernel.t * Kernel.instance;
+  tiled : (Kernel.t * Kernel.instance) option;
+      (* [time_tile] smooths per run, when the smoother is tileable *)
+  residual : Kernel.instance;
+  dinv : Kernel.instance;
+  (* transfers with the next coarser level; no-ops on the coarsest *)
+  restrict_res : Kernel.instance;  (* this res into the coarser f *)
+  restrict_f : Kernel.instance;  (* this f into the coarser f (F-cycle) *)
+  interp : Kernel.instance;  (* the coarser u corrects this u *)
+}
+
 type t = {
   levels : Level.t array;
   config : config;
@@ -42,6 +57,7 @@ type t = {
   mutable active_backend : Jit.backend;
       (* starts at config.backend; demoted down the failover chain by
          [solve_resilient] when a backend keeps failing *)
+  mutable ops : ops array;  (* one per level, bound by [bind_ops] *)
 }
 
 module Fault = Sf_resilience.Fault
@@ -134,21 +150,83 @@ let make_groups ~dims (config : config) =
     interp;
   }
 
+let smoother_params (config : config) level =
+  match config.smoother with
+  | Gsrb | Gsrb4 | Jacobi -> Level.params level
+  | Chebyshev degree ->
+      Operators.chebyshev_params ~level_h:level.Level.h ~lambda_lo_frac:0.1
+        ~degree
+
 (* Kernels come from the supervised compiler against the *active*
    backend: on a clean run this is exactly Jit.compile (the supervised
    path engages only under armed faults / active guards), and under a
-   chaos campaign each invocation gets per-wave retry, guard scans and
-   the backend failover chain. *)
-let compile t group ~shape =
-  Supervise.compile ~config:t.config.jit t.active_backend ~shape group
+   chaos campaign each run gets per-wave retry, guard scans and the
+   backend failover chain.  Every kernel is compiled and bound here, at
+   set-up and after a demotion, never inside a cycle.
+
+   [time_tile] = k > 1 also binds a kernel running k smooths per call
+   when the smoother group is provably tileable (k sweeps for ~one pass
+   of memory traffic, bitwise identical to k plain smooths).  An
+   untileable smoother silently runs plain smooths — the knob is a
+   performance request, never a semantics change. *)
+let bind_ops t =
+  let compile group (level : Level.t) =
+    Supervise.compile ~config:t.config.jit t.active_backend
+      ~shape:level.Level.shape group
+  in
+  let bind group level =
+    (compile group level).Kernel.bind ~params:(Level.params level)
+      level.Level.grids
+  in
+  let smoother level (kernel : Kernel.t) =
+    ( kernel,
+      kernel.Kernel.bind ~params:(smoother_params t.config level)
+        level.Level.grids )
+  in
+  let group = t.groups.smoother and k = t.config.jit.Config.time_tile in
+  let last = Array.length t.levels - 1 in
+  Array.mapi
+    (fun i level ->
+      let shape = level.Level.shape and coarse = t.levels.(min (i + 1) last) in
+      (* [group] compiled once at the coarser shape, bound per call *)
+      let transfer group =
+        if i = last then fun _ -> ignore
+        else
+          let kernel = compile group coarse in
+          fun grids ->
+            kernel.Kernel.bind ~params:(Level.params coarse)
+              (Grids.of_list grids)
+      in
+      let restrict = transfer t.groups.restrict in
+      {
+        smooth = smoother level (compile group level);
+        tiled =
+          (if k > 1 && Timetile.legal ~shape group then
+             Some
+               (smoother level
+                  (Jit.compile ~config:t.config.jit ~reps:k t.active_backend
+                     ~shape group))
+           else None);
+        residual = bind t.groups.residual level;
+        dinv = bind t.groups.dinv level;
+        restrict_res =
+          restrict [ ("fine_res", Level.res level); ("coarse_f", Level.f coarse) ];
+        restrict_f =
+          restrict [ ("fine_res", Level.f level); ("coarse_f", Level.f coarse) ];
+        interp =
+          transfer t.groups.interp
+            [ ("coarse_u", Level.u coarse); ("fine_u", Level.u level) ];
+      })
+    t.levels
 
 let active_backend t = t.active_backend
 
-(* Demote the active backend one step down the failover chain; false when
-   already at the chain's end.  Distinct from Supervise's per-invocation
-   failover: a demotion is sticky — every later kernel compiles against
-   the weaker backend — which is what rollback re-runs want.  It is
-   therefore counted apart from [supervisor.failovers], tracing or not. *)
+(* Demote the active backend one step down the failover chain and rebind
+   every level against it; false when already at the chain's end.
+   Distinct from Supervise's per-run failover: a demotion is sticky —
+   every later kernel runs on the weaker backend — which is what rollback
+   re-runs want.  It is therefore counted apart from
+   [supervisor.failovers], tracing or not. *)
 let demotions = Sf_trace.Metrics.counter "mg.demotions"
 
 let demote_backend t =
@@ -156,6 +234,7 @@ let demote_backend t =
   | _ :: next :: _ ->
       let from = Jit.backend_name t.active_backend in
       t.active_backend <- next;
+      t.ops <- bind_ops t;
       Atomic.incr demotions;
       if Trace.on () then
         Trace.record_span
@@ -166,12 +245,7 @@ let demote_backend t =
       true
   | _ -> false
 
-let init_dinv t =
-  Array.iter
-    (fun level ->
-      let kernel = compile t t.groups.dinv ~shape:level.Level.shape in
-      kernel.Kernel.run ~params:(Level.params level) level.Level.grids)
-    t.levels
+let init_dinv t = Array.iter (fun ops -> ops.dinv ()) t.ops
 
 let create ?(config = default_config) ?(dims = 3) ~n () =
   let groups = make_groups ~dims config in
@@ -193,8 +267,10 @@ let create ?(config = default_config) ?(dims = 3) ~n () =
       groups;
       timers = Hashtbl.create 32;
       active_backend = config.backend;
+      ops = [||];
     }
   in
+  t.ops <- bind_ops t;
   (* betas default to 1; dinv must still be initialised *)
   init_dinv t;
   t
@@ -203,41 +279,26 @@ let set_beta t beta =
   Array.iter (fun level -> Level.set_beta level beta) t.levels;
   init_dinv t
 
-let smoother_params (config : config) level =
-  match config.smoother with
-  | Gsrb | Gsrb4 | Jacobi -> Level.params level
-  | Chebyshev degree ->
-      Operators.chebyshev_params ~level_h:level.Level.h ~lambda_lo_frac:0.1
-        ~degree
-
-(* [count] consecutive smoother applications, temporally blocked when the
-   jit config asks for it ([Config.time_tile] = depth k) and the smoother
-   group is provably tileable: count/k applications run as one time-tiled
-   kernel each (k sweeps for ~one pass of memory traffic, results bitwise
-   identical to k plain smooths), the remainder as plain smooths.  An
-   untileable smoother silently degrades to plain smooths — the knob is a
-   performance request, never a semantics change.  Returns each kernel
-   with its number of invocations. *)
-let smooth_kernels t i ~count =
-  let shape = t.levels.(i).Level.shape in
-  let group = t.groups.smoother in
+(* [count] consecutive smoother applications on level [i]: count/k runs
+   of the time-tiled instance when there is one, the remainder as plain
+   smooths.  Returns each instance, with its kernel, and its number of
+   runs. *)
+let smooth_runs t i ~count =
+  let ops = t.ops.(i) in
   let k = t.config.jit.Config.time_tile in
-  let plain times = (compile t group ~shape, times) in
-  if k > 1 && count >= k && Timetile.legal ~shape group then
-    ( Jit.compile ~config:t.config.jit ~reps:k t.active_backend ~shape group,
-      count / k )
-    :: (if count mod k = 0 then [] else [ plain (count mod k) ])
-  else [ plain count ]
+  match ops.tiled with
+  | Some tiled when count >= k ->
+      (tiled, count / k)
+      :: (if count mod k = 0 then [] else [ (ops.smooth, count mod k) ])
+  | _ -> [ (ops.smooth, count) ]
 
 let smooth_steps_untimed t i ~count =
-  let level = t.levels.(i) in
-  let params = smoother_params t.config level in
   List.iter
-    (fun (kernel, times) ->
+    (fun ((_, run), times) ->
       for _ = 1 to times do
-        kernel.Kernel.run ~params level.Level.grids
+        run ()
       done)
-    (smooth_kernels t i ~count)
+    (smooth_runs t i ~count)
 
 let smooth_steps t i ~count =
   timed t
@@ -247,36 +308,15 @@ let smooth_steps t i ~count =
 let smooth t i = smooth_steps t i ~count:1
 
 (* what one pre- or post-smooth runs on the finest level, for [--profile]
-   reports: the descriptions of the very kernels [smooth_steps] calls *)
+   reports: the descriptions of the very kernels [smooth_steps] runs *)
 let smoother_plan t =
-  smooth_kernels t 0 ~count:t.config.smooths
-  |> List.map (fun (kernel, times) ->
+  smooth_runs t 0 ~count:t.config.smooths
+  |> List.map (fun ((kernel, _), times) ->
          Printf.sprintf "%d x [%s]" times kernel.Kernel.description)
   |> String.concat " then "
 
 let compute_residual t i =
-  let level = t.levels.(i) in
-  let kernel = compile t t.groups.residual ~shape:level.Level.shape in
-  timed t
-    (Printf.sprintf "residual L%d" i)
-    (fun () ->
-      kernel.Kernel.run ~params:(Level.params level) level.Level.grids)
-
-(* Restrict a fine-level mesh into the coarse f.  The kernel names its
-   grids "fine_res"/"coarse_f"; binding them per call is the Snowflake
-   idiom for cross-level operators. *)
-let restrict_into t ~fine_mesh ~coarse =
-  let kernel = compile t t.groups.restrict ~shape:coarse.Level.shape in
-  kernel.Kernel.run
-    ~params:(Level.params coarse)
-    (Grids.of_list
-       [ ("fine_res", fine_mesh); ("coarse_f", Level.f coarse) ])
-
-let interpolate_and_correct t ~coarse ~fine =
-  let kernel = compile t t.groups.interp ~shape:coarse.Level.shape in
-  kernel.Kernel.run
-    ~params:(Level.params coarse)
-    (Grids.of_list [ ("coarse_u", Level.u coarse); ("fine_u", Level.u fine) ])
+  timed t (Printf.sprintf "residual L%d" i) t.ops.(i).residual
 
 let rec cycle t i =
   let coarsest = Array.length t.levels - 1 in
@@ -287,15 +327,12 @@ let rec cycle t i =
   else begin
     smooth_steps t i ~count:t.config.smooths;
     compute_residual t i;
-    let fine = t.levels.(i) and coarse = t.levels.(i + 1) in
     timed t
       (Printf.sprintf "restrict L%d->L%d" i (i + 1))
-      (fun () -> restrict_into t ~fine_mesh:(Level.res fine) ~coarse);
-    Mesh.fill (Level.u coarse) 0.;
+      t.ops.(i).restrict_res;
+    Mesh.fill (Level.u t.levels.(i + 1)) 0.;
     cycle t (i + 1);
-    timed t
-      (Printf.sprintf "interp L%d->L%d" (i + 1) i)
-      (fun () -> interpolate_and_correct t ~coarse ~fine);
+    timed t (Printf.sprintf "interp L%d->L%d" (i + 1) i) t.ops.(i).interp;
     smooth_steps t i ~count:t.config.smooths
   end
 
@@ -315,7 +352,7 @@ let fcycle_untraced t =
   let nlevels = Array.length t.levels in
   (* push the right-hand side down the hierarchy *)
   for i = 0 to nlevels - 2 do
-    restrict_into t ~fine_mesh:(Level.f t.levels.(i)) ~coarse:t.levels.(i + 1)
+    t.ops.(i).restrict_f ()
   done;
   (* bottom solve *)
   let bottom = nlevels - 1 in
@@ -324,7 +361,7 @@ let fcycle_untraced t =
   (* prolong upward, one V-cycle per level *)
   for i = nlevels - 2 downto 0 do
     Mesh.fill (Level.u t.levels.(i)) 0.;
-    interpolate_and_correct t ~coarse:t.levels.(i + 1) ~fine:t.levels.(i);
+    t.ops.(i).interp ();
     cycle t i
   done
 

@@ -41,6 +41,8 @@ type groups = {
   interp : Snowflake.Group.t;  (** ["coarse_u"] corrects ["fine_u"] *)
 }
 
+type ops  (** one level's operators, bound to its meshes *)
+
 type t = private {
   levels : Level.t array;
   config : config;
@@ -48,20 +50,22 @@ type t = private {
   timers : (string, float ref) Hashtbl.t;
       (** per-operation, per-level wall time, keyed e.g. ["smooth L0"] *)
   mutable active_backend : Jit.backend;
-      (** the backend kernels currently compile against — starts at
+      (** the backend the bound kernels were compiled for — starts at
           [config.backend], demoted down [Supervise.chain] by
           {!solve_resilient} when a backend keeps failing *)
+  mutable ops : ops array;  (** bound by {!create} and {!demote_backend} *)
 }
 
 val create : ?config:config -> ?dims:int -> n:int -> unit -> t
 (** Builds the hierarchy n, n/2, …, [coarsest_n] of rank-[dims] levels
     (default 3) and the solver's {!groups} at that rank, from {!Nd}'s
-    constructors.  [n] must be [coarsest_n]·2^k.  Betas default to 1;
-    call {!set_beta} (3-D) or {!Level.set_beta_nd} on each of [levels]
-    then {!init_dinv} to change them.  Raises [Invalid_argument] for
-    [dims < 1], and for [dims <> 3] when [config] asks for a 3-D-only
-    choice: the [Gsrb4] or [Chebyshev _] smoother or [Linear]
-    interpolation. *)
+    constructors, then compiles and binds every level's operators, so
+    the cycles never probe the Jit cache.  [n] must be [coarsest_n]·2^k.
+    Betas default to 1; call {!set_beta} (3-D) or {!Level.set_beta_nd} on
+    each of [levels] then {!init_dinv} to change them.  Raises
+    [Invalid_argument] for [dims < 1], and for [dims <> 3] when [config]
+    asks for a 3-D-only choice: the [Gsrb4] or [Chebyshev _] smoother or
+    [Linear] interpolation. *)
 
 val finest : t -> Level.t
 
@@ -91,8 +95,8 @@ val smoother_plan : t -> string
 (** The kernels one pre- or post-smooth ([config.smooths] applications)
     runs on the finest level, as [times x [Kernel.description]] joined by
     ["then"]: the plain kernel, or the time-tiled one plus any plain
-    remainder — what [hpgmg_run --profile] prints.  Compiles (a cache hit
-    once a cycle has run) and runs nothing. *)
+    remainder — what [hpgmg_run --profile] prints.  Compiles and runs
+    nothing. *)
 
 val compute_residual : t -> int -> unit
 (** res ← f − A u on level [i] (boundaries applied first). *)
@@ -116,11 +120,11 @@ val solve : ?cycles:int -> t -> float array
 val active_backend : t -> Jit.backend
 
 val demote_backend : t -> bool
-(** Demote the active backend one step down [Supervise.chain] (every later
-    kernel compiles against the weaker backend); [false] when already at
-    the end of the chain.  Counted as [mg.demotions] (never as
-    [supervisor.failovers]) whether or not tracing is on, and marked by a
-    ["failover:mg"] span when it is. *)
+(** Demote the active backend one step down [Supervise.chain] and rebind
+    every level's operators against it (one compile per kernel); [false]
+    when already at the end of the chain.  Counted as [mg.demotions]
+    (never as [supervisor.failovers]) whether or not tracing is on, and
+    marked by a ["failover:mg"] span when it is. *)
 
 val solve_resilient :
   ?cycles:int ->

@@ -706,8 +706,8 @@ let test_one_dimensional_backends () =
     ]
 
 let test_kernel_reuse_across_grids () =
-  (* one kernel, two different mesh sets: the run cache must rebuild when
-     bindings change and results must be correct on both *)
+  (* one kernel, two different mesh sets: each run binds its own and
+     results must be correct on both *)
   let shape = iv [ 8; 8 ] in
   let s =
     Stencil.make ~label:"twice" ~output:"out"
@@ -730,13 +730,30 @@ let test_kernel_reuse_across_grids () =
   in
   check ga;
   check gb;
-  (* rebinding a single mesh invalidates too *)
+  (* rebinding a single mesh: [run] sees the new one, while an instance
+     bound before keeps the mesh it was bound to *)
+  let old_u = Grids.find ga "u" in
+  let instance = kernel.Kernel.bind ga in
   let fresh = Mesh.random ~seed:9 shape in
   Grids.add ga "u" fresh;
   kernel.Kernel.run ga;
   check_float "rebound"
     (2. *. Mesh.get fresh (iv [ 5; 5 ]))
-    (Mesh.get (Grids.find ga "out") (iv [ 5; 5 ]))
+    (Mesh.get (Grids.find ga "out") (iv [ 5; 5 ]));
+  instance ();
+  check_float "instance keeps its mesh"
+    (2. *. Mesh.get old_u (iv [ 5; 5 ]))
+    (Mesh.get (Grids.find ga "out") (iv [ 5; 5 ]));
+  (* an undersized mesh is refused at bind, before any instance exists *)
+  let small =
+    Grids.of_list
+      [ ("u", Mesh.create (iv [ 4; 4 ])); ("out", Mesh.create shape) ]
+  in
+  check_bool "undersized refused at bind" true
+    (try
+       ignore (kernel.Kernel.bind small : Kernel.instance);
+       false
+     with Invalid_argument _ -> true)
 
 let test_param_change_invalidates () =
   let shape = iv [ 6 ] in
@@ -754,7 +771,54 @@ let test_param_change_invalidates () =
   let v2 = Mesh.get (Grids.find grids "out") (iv [ 2 ]) in
   kernel.Kernel.run ~params:[ ("k", 10.) ] grids;
   let v10 = Mesh.get (Grids.find grids "out") (iv [ 2 ]) in
-  check_float "params rebound" (5. *. v2) v10
+  check_float "params rebound" (5. *. v2) v10;
+  (* each instance keeps the parameters it was bound with *)
+  let by2 = kernel.Kernel.bind ~params:[ ("k", 2.) ] grids in
+  let by10 = kernel.Kernel.bind ~params:[ ("k", 10.) ] grids in
+  by10 ();
+  by2 ();
+  check_float "instance k=2" v2 (Mesh.get (Grids.find grids "out") (iv [ 2 ]));
+  by10 ();
+  check_float "instance k=10" v10
+    (Mesh.get (Grids.find grids "out") (iv [ 2 ]));
+  (* an unbound parameter is refused at bind *)
+  check_bool "unbound parameter refused at bind" true
+    (try
+       ignore (kernel.Kernel.bind grids : Kernel.instance);
+       false
+     with Invalid_argument _ -> true)
+
+(* A cached kernel holds no mesh of its callers: once the only instance
+   is dropped, its meshes are garbage while the kernel stays cached. *)
+let test_cache_pins_no_grid () =
+  let shape = iv [ 8; 8 ] in
+  let group =
+    Group.make ~label:"pin"
+      [
+        Stencil.make ~label:"copy" ~output:"out"
+          ~expr:Expr.(read "u" (iv [ 0; 0 ]))
+          ~domain:(Domain.interior 2 ~ghost:0)
+          ();
+      ]
+  in
+  let kernel = Jit.compile Jit.Compiled ~shape group in
+  let freed = ref false in
+  let[@inline never] run_once () =
+    let u = Mesh.random ~seed:4 shape in
+    Gc.finalise (fun _ -> freed := true) u;
+    let instance =
+      kernel.Kernel.bind
+        (Grids.of_list [ ("u", u); ("out", Mesh.create shape) ])
+    in
+    instance ()
+  in
+  run_once ();
+  Gc.full_major ();
+  check_bool "mesh collected" true !freed;
+  let hits, _ = Jit.cache_stats () in
+  check_bool "kernel still cached" true
+    (Jit.compile Jit.Compiled ~shape group == kernel);
+  check_int "a cache hit" (hits + 1) (fst (Jit.cache_stats ()))
 
 let test_periodic_faces_all_backends () =
   (* grid-sized offsets (paper: boundary stencils "with (sometimes) large
@@ -1467,6 +1531,8 @@ let () =
             test_kernel_reuse_across_grids;
           Alcotest.test_case "param invalidation" `Quick
             test_param_change_invalidates;
+          Alcotest.test_case "cache pins no grid" `Quick
+            test_cache_pins_no_grid;
           Alcotest.test_case "pool oversubscription" `Quick
             test_pool_more_workers_than_tasks;
           Alcotest.test_case "periodic faces" `Quick

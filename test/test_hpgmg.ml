@@ -403,6 +403,32 @@ let test_fcycle () =
   in
   check_bool "fcycle error near h^2" true (err < 0.05)
 
+(* Mg compiles and binds at set-up and after a demotion, and its cycles
+   only run the bound instances: no Jit cache probe in between. *)
+let test_no_probes_after_setup () =
+  let solver = Mg.create ~n:8 () in
+  Problem.setup_poisson (Mg.finest solver);
+  let lookups () =
+    let hits, misses = Jit.cache_stats () in
+    hits + misses
+  in
+  let cycles () =
+    let before = lookups () in
+    Mg.vcycle solver;
+    Mg.fcycle solver;
+    ignore (Mg.residual_norm solver : float);
+    check_int "no probe in a cycle" before (lookups ())
+  in
+  cycles ();
+  let before = lookups () in
+  check_bool "demoted" true (Mg.demote_backend solver);
+  (* one compile per (level, operator): smoother, residual, dinv, then
+     restriction and interpolation on each of the two coarser levels *)
+  let nlevels = Array.length solver.Mg.levels in
+  check_int "one probe per rebound kernel" ((3 * nlevels) + (2 * (nlevels - 1)))
+    (lookups () - before);
+  cycles ()
+
 let test_alternative_smoothers_converge () =
   (* every smoother drives the Poisson V-cycle to convergence; GSRB-family
      are the fastest per cycle *)
@@ -609,6 +635,8 @@ let () =
           Alcotest.test_case "linear interpolation" `Quick
             test_linear_interpolation_converges;
           Alcotest.test_case "fcycle" `Quick test_fcycle;
+          Alcotest.test_case "no probes after set-up" `Quick
+            test_no_probes_after_setup;
           Alcotest.test_case "alternative smoothers" `Quick
             test_alternative_smoothers_converge;
           Alcotest.test_case "backends agree" `Quick
