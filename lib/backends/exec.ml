@@ -568,18 +568,26 @@ let prepare_compiled grids ~params (s : Stencil.t) =
         if not (Domain.is_empty rect) then
           run_rect_closure grids ~params s rect
 
-let validate_stencil grids ~shape (s : Stencil.t) =
+let validate_shapes ~grid_shape ~shape (s : Stencil.t) =
   let n = Ivec.dims shape in
+  let find g =
+    match grid_shape g with
+    | Some gs -> gs
+    | None -> invalid_arg (Printf.sprintf "Grids.find: unbound grid %S" g)
+  in
   List.iter
     (fun g ->
-      let mesh = Grids.find grids g in
-      if Mesh.dims mesh <> n then
+      let d = Ivec.dims (find g) in
+      if d <> n then
         invalid_arg
           (Printf.sprintf
              "stencil %s: grid %S has rank %d but iteration shape has rank %d"
-             s.Stencil.label g (Mesh.dims mesh) n))
+             s.Stencil.label g d n))
     (Stencil.grids s);
-  let grid_shape g = Mesh.shape (Grids.find grids g) in
-  match Sf_analysis.Footprint.check_in_bounds ~shape ~grid_shape s with
+  match Sf_analysis.Footprint.check_in_bounds ~shape ~grid_shape:find s with
   | Ok () -> ()
   | Error msg -> invalid_arg msg
+
+let validate_stencil grids ~shape s =
+  validate_shapes ~shape s ~grid_shape:(fun g ->
+      Option.map Mesh.shape (Grids.find_opt grids g))

@@ -42,9 +42,18 @@ val prepare_compiled :
     stencil's structure is promoted to the native tier.  Thunks for
     distinct tiles may run concurrently; one thunk is not reentrant. *)
 
+val validate_shapes :
+  grid_shape:(string -> Sf_util.Ivec.t option) -> shape:Sf_util.Ivec.t ->
+  Stencil.t -> unit
+(** The shape certificate, from shapes alone: every grid the stencil
+    touches exists ([grid_shape] answers [Some]), its rank agrees with
+    the iteration shape, and every access stays in bounds
+    ([Footprint.check_in_bounds]); raises [Invalid_argument] with a
+    descriptive message otherwise.  [Gen.validate] runs it over a spec's
+    declared grid shapes, so no grid is built to check a program. *)
+
 val validate_stencil : Grids.t -> shape:Sf_util.Ivec.t -> Stencil.t -> unit
-(** Checks that every touched grid exists, ranks agree with the iteration
-    shape, and all accesses stay in bounds; raises [Invalid_argument] with a
-    descriptive message otherwise.  Every [Kernel.bind] of a
-    [Plan.execute] kernel calls this on each stencil before it
-    instantiates any unchecked loop, so no instance runs unvalidated. *)
+(** {!validate_shapes} over the shapes of the bound meshes.  Every
+    [Kernel.bind] of a [Plan.execute] kernel certifies each stencil
+    before it instantiates any unchecked loop, so no instance runs
+    unvalidated. *)

@@ -1,8 +1,9 @@
 (* Wire protocol: u32-BE length prefix, tag byte, binary fields.  The
-   encoders build into Buffer; the decoders walk a cursor over the frame
-   and fail with a positioned message instead of raising, so a malformed
-   frame from a hostile client is an ERROR reply, never an exception
-   escaping the connection thread. *)
+   encoders build into Buffer, except RESULT (the bulk grid data), which
+   is written once into an exact-size buffer; the decoders walk a cursor
+   over the frame and fail with a positioned message instead of raising,
+   so a malformed frame from a hostile client is an ERROR reply, never an
+   exception escaping the connection thread. *)
 
 let version = 1
 let max_frame = 64 * 1024 * 1024
@@ -84,14 +85,25 @@ let tag_result = 0x86
 let tag_stats_reply = 0x87
 let tag_bye = 0x88
 
+(* Unchecked big-endian 64-bit cell access: the grid loops check the
+   whole grid's byte range once, not every cell. *)
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+external set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+let get_cell s pos =
+  let v = get64u s pos in
+  Int64.float_of_bits (if Sys.big_endian then v else bswap64 v)
+
+let set_cell b pos x =
+  let v = Int64.bits_of_float x in
+  set64u b pos (if Sys.big_endian then v else bswap64 v)
+
 let put_u8 b v = Buffer.add_uint8 b (v land 0xff)
 
 let put_u32 b v =
   if v < 0 || v > 0xFFFF_FFFF then invalid_arg "protocol: u32 out of range";
   Buffer.add_int32_be b (Int32.of_int v)
-
-let put_u64 b v = Buffer.add_int64_be b v
-let put_f64 b v = put_u64 b (Int64.bits_of_float v)
 
 let put_str b s =
   put_u32 b (String.length s);
@@ -124,6 +136,45 @@ let encode_request = function
   | Stats -> frame tag_stats (fun _ -> ())
   | Shutdown -> frame tag_shutdown (fun _ -> ())
 
+(* The one RESULT writer: the frame is sized first and filled in one
+   pass, so it is never grown or copied. *)
+let encode_result ~ticket ~elapsed_us grids =
+  let payload =
+    List.fold_left
+      (fun acc (name, shape, cells) ->
+        acc + 4 + String.length name + 4 + (4 * List.length shape) + 4
+        + (8 * Float.Array.length cells))
+      (1 + 4 + 8 + 4) grids
+  in
+  let b = Bytes.create (4 + payload) in
+  let put_u32 pos v =
+    if v < 0 || v > 0xFFFF_FFFF then invalid_arg "protocol: u32 out of range";
+    Bytes.set_int32_be b pos (Int32.of_int v);
+    pos + 4
+  in
+  let pos = put_u32 0 payload in
+  Bytes.set_uint8 b pos tag_result;
+  let pos = put_u32 (pos + 1) ticket in
+  Bytes.set_int64_be b pos (Int64.bits_of_float elapsed_us);
+  let pos =
+    List.fold_left
+      (fun pos (name, shape, cells) ->
+        let len = String.length name in
+        Bytes.blit_string name 0 b (put_u32 pos len) len;
+        let pos = put_u32 (pos + 4 + len) (List.length shape) in
+        let pos = List.fold_left put_u32 pos shape in
+        let n = Float.Array.length cells in
+        let pos = put_u32 pos n in
+        for i = 0 to n - 1 do
+          set_cell b (pos + (8 * i)) (Float.Array.unsafe_get cells i)
+        done;
+        pos + (8 * n))
+      (put_u32 (pos + 8) (List.length grids))
+      grids
+  in
+  assert (pos = Bytes.length b);
+  Bytes.unsafe_to_string b
+
 let encode_reply = function
   | Welcome { version; caps; server } ->
       frame tag_welcome (fun b ->
@@ -142,18 +193,11 @@ let encode_reply = function
           put_u32 b ticket;
           put_u8 b (if running then 1 else 0))
   | Result { ticket; elapsed_us; grids } ->
-      frame tag_result (fun b ->
-          put_u32 b ticket;
-          put_f64 b elapsed_us;
-          put_u32 b (List.length grids);
-          List.iter
-            (fun g ->
-              put_str b g.gname;
-              put_u32 b (List.length g.gshape);
-              List.iter (put_u32 b) g.gshape;
-              put_u32 b (Array.length g.gdata);
-              Array.iter (put_f64 b) g.gdata)
-            grids)
+      encode_result ~ticket ~elapsed_us
+        (List.map
+           (fun g ->
+             (g.gname, g.gshape, Float.Array.map_from_array Fun.id g.gdata))
+           grids)
   | Stats_reply { json } -> frame tag_stats_reply (fun b -> put_str b json)
   | Bye -> frame tag_bye (fun _ -> ())
 
@@ -281,10 +325,13 @@ let decode_reply s =
         done;
         let n = get_u32 c "grid size" in
         need c (8 * n) "grid data";
-        let gdata = Array.make n 0. in
+        (* one bounds check for the whole grid, then unchecked reads *)
+        let gdata = Array.create_float n in
+        let base = c.pos in
         for i = 0 to n - 1 do
-          gdata.(i) <- get_f64 c "cell"
+          Array.unsafe_set gdata i (get_cell c.buf (base + (8 * i)))
         done;
+        c.pos <- base + (8 * n);
         grids := { gname; gshape = List.rev !rshape; gdata } :: !grids
       done;
       finish c (Result { ticket; elapsed_us; grids = List.rev !grids })
@@ -309,31 +356,33 @@ let rec retry_read fd buf off len =
    failures (the first is a peer dying between frames mid-header, the
    second a peer dying mid-message), and the fuzzer asserts they stay
    distinguishable. *)
-let read_exact fd n ~what =
-  let buf = Bytes.create n in
-  let rec go off =
-    if off = n then Some (Bytes.unsafe_to_string buf)
-    else
-      match retry_read fd buf off (n - off) with
-      | 0 -> if off = 0 then None else raise (Bad ("EOF inside " ^ what))
-      | k -> go (off + k)
+let read_exact fd buf ~off ~len ~what =
+  let rec go k =
+    if k < len then
+      match retry_read fd buf (off + k) (len - k) with
+      | 0 -> if k = 0 then false else raise (Bad ("EOF inside " ^ what))
+      | r -> go (k + r)
+    else true
   in
   go 0
 
+(* The payload is read straight in behind the prefix: one allocation per
+   frame, no concatenation. *)
 let read_frame fd =
   try
-    match read_exact fd 4 ~what:"length prefix" with
-    | None -> Ok None
-    | Some prefix -> (
-        let len =
-          Int32.to_int (String.get_int32_be prefix 0) land 0xFFFF_FFFF
-        in
-        if len > max_frame then
-          Error (Printf.sprintf "incoming frame of %d bytes exceeds max" len)
-        else
-          match read_exact fd len ~what:"frame payload" with
-          | None -> Error "EOF inside frame payload"
-          | Some payload -> Ok (Some (prefix ^ payload)))
+    let prefix = Bytes.create 4 in
+    if not (read_exact fd prefix ~off:0 ~len:4 ~what:"length prefix") then
+      Ok None
+    else
+      let len = Int32.to_int (Bytes.get_int32_be prefix 0) land 0xFFFF_FFFF in
+      if len > max_frame then
+        Error (Printf.sprintf "incoming frame of %d bytes exceeds max" len)
+      else
+        let buf = Bytes.create (4 + len) in
+        Bytes.blit prefix 0 buf 0 4;
+        if read_exact fd buf ~off:4 ~len ~what:"frame payload" then
+          Ok (Some (Bytes.unsafe_to_string buf))
+        else Error "EOF inside frame payload"
   with
   | Bad m -> Error m
   | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)

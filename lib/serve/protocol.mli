@@ -112,6 +112,14 @@ val decode_request : string -> (request, string) result
 val encode_reply : reply -> string
 val decode_reply : string -> (reply, string) result
 
+val encode_result :
+  ticket:int -> elapsed_us:float -> (string * int list * Float.Array.t) list ->
+  string
+(** A RESULT frame straight from grid storage: each grid is its name,
+    shape and cells (a [Mesh.data]).  The frame is sized first and
+    written in one pass into one buffer; [encode_reply (Result _)] goes
+    through the same writer, so for equal cells the bytes are equal. *)
+
 (** {2 Frame I/O}
 
     The contract is a {e blocking} file descriptor, retrying on [EINTR].
@@ -127,7 +135,8 @@ val decode_reply : string -> (reply, string) result
     the protocol fuzzer pins both paths. *)
 
 val read_frame : Unix.file_descr -> (string option, string) result
-(** One complete frame (prefix included), ready for [decode_*]. *)
+(** One complete frame (prefix included), ready for [decode_*], read
+    into a single buffer. *)
 
 exception Closed
 (** The peer hung up: a write hit [EPIPE]/[ECONNRESET].  Raised by

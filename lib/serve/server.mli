@@ -77,6 +77,15 @@ val listen_unix : t -> path:string -> unit
     [Failure] if a server is still listening there or the path is not a
     socket at all, rather than severing it. *)
 
+val parse_capacity : int
+(** How many parsed programs a server keeps (64).  A SUBMIT whose exact
+    program text is kept skips [Corpus.of_string]; the oldest entry is
+    evicted first, and a text that fails to parse is never kept.  Hits
+    and misses count as [serve.parse.hits] / [serve.parse.misses]. *)
+
+val parse_cache_entries : t -> int
+(** Programs the parse cache holds now (at most {!parse_capacity}). *)
+
 val stats_json : t -> string
 (** The STATS document (also what [--stats-json] writes at exit). *)
 

@@ -1,8 +1,9 @@
 (* The counter catalogue cannot drift from the code: exercise the pool,
-   the JIT, the resilience layer and the native tier, then require every
-   counter in the metrics registry to be named in the first column of the
-   "Counter catalogue" table of the observability doc given as the only
-   argument.  Exits 1, naming each undocumented counter, otherwise. *)
+   the JIT, the resilience layer and the native tier, link sfserved's
+   server, then require every counter in the metrics registry to be named
+   in the first column of the "Counter catalogue" table of the
+   observability doc given as the only argument.  Exits 1, naming each
+   undocumented counter, otherwise. *)
 
 open Sf_backends
 open Sf_hpgmg
@@ -42,6 +43,10 @@ let () =
   Native.with_mode Native.Force (fun () ->
       ignore (Mg.solve_resilient ~cycles:3 solver : float array));
   Fault.disarm ();
+  (* sfserved registers its own counters when its module is linked *)
+  let server = Sf_serve.Server.create () in
+  Sf_serve.Server.stop server;
+  Sf_serve.Server.join server;
   let counters = (Metrics.snapshot ()).Metrics.counters in
   let idle =
     List.filter

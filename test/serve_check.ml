@@ -3,12 +3,14 @@
    Spawns the real binary on a temp Unix socket, then:
      1. two tenants concurrently replay every corpus/*.sfl program and
         check each RESULT against the interpreter oracle (Fcmp
-        tolerance) AND bitwise against a local same-backend run;
+        tolerance) AND bitwise against a local same-backend run; each
+        submits every program twice, and the second reply (a parse-cache
+        hit) must be bitwise the first;
      2. one tenant submits a kernel:raise fault while the other keeps
         solving — the faulted request must come back ERROR "fault", the
         clean tenant must be untouched, and the server must survive;
-     3. STATS must show a nonzero JIT cache hit rate (the two tenants
-        submit identical programs) and parse as JSON;
+     3. STATS must parse as JSON and show nonzero JIT cache and parse
+        cache hits (the two tenants submit identical programs);
      4. SHUTDOWN must answer BYE, the daemon must exit 0, and its
         --stats-json dump must parse.
 
@@ -94,18 +96,27 @@ let replay_tenant ~socket ~tenant cases =
   match Client.connect_unix ~tenant socket with
   | Error m -> die "%s: connect: %s" tenant m
   | Ok c ->
+      let solve ~file program =
+        match
+          Client.solve c
+            { P.program; backend = "openmp"; workers; reps = 1; fault = "" }
+        with
+        | Ok (Client.Solved { grids; _ }) -> grids
+        | Ok (Client.Failed { code; message }) ->
+            die "%s (%s): %s: %s" file tenant code message
+        | Error m -> die "%s (%s): transport: %s" file tenant m
+      in
+      let bytes grids =
+        P.encode_reply (P.Result { ticket = 0; elapsed_us = 0.; grids })
+      in
       List.iter
         (fun (file, program, spec) ->
-          match
-            Client.solve c
-              { P.program; backend = "openmp"; workers; reps = 1; fault = "" }
-          with
-          | Ok (Client.Solved { grids; _ }) ->
-              check_oracle ~file spec grids;
-              check_bitwise ~file spec grids
-          | Ok (Client.Failed { code; message }) ->
-              die "%s (%s): %s: %s" file tenant code message
-          | Error m -> die "%s (%s): transport: %s" file tenant m)
+          let grids = solve ~file program in
+          check_oracle ~file spec grids;
+          check_bitwise ~file spec grids;
+          if bytes (solve ~file program) <> bytes grids then
+            die "%s (%s): resubmitted reply differs from the first" file
+              tenant)
         cases;
       Client.close c
 
@@ -159,7 +170,8 @@ let () =
   let bob = Thread.create (fun () -> replay_tenant ~socket ~tenant:"bob" cases) () in
   Thread.join alice;
   Thread.join bob;
-  Printf.printf "serve_check: %d corpus programs x 2 tenants ok (oracle + bitwise)\n%!"
+  Printf.printf
+    "serve_check: %d corpus programs x 2 tenants x 2 submits ok (oracle + bitwise)\n%!"
     (List.length cases);
 
   (* --- 2. fault isolation: mallory's injected fault, carol unharmed --- *)
@@ -238,7 +250,16 @@ let () =
   (match Option.bind (Json.member "native" doc) (Json.member "native.structures") with
   | Some (Json.Num n) when n > 0. -> ()
   | _ -> die "STATS has no native.structures count");
-  Printf.printf "serve_check: STATS ok (jit hits = %d)\n%!" jit_hits;
+  let parse_hits =
+    match
+      Option.bind (Json.member "counters" doc) (Json.member "serve.parse.hits")
+    with
+    | Some (Json.Num n) -> int_of_float n
+    | _ -> die "STATS counters have no serve.parse.hits"
+  in
+  if parse_hits = 0 then die "resubmitted programs never hit the parse cache";
+  Printf.printf "serve_check: STATS ok (jit hits = %d, parse hits = %d)\n%!"
+    jit_hits parse_hits;
 
   (* --- 4. SHUTDOWN: BYE, daemon exit 0, stats dump parses --- *)
   (match Client.shutdown carol with

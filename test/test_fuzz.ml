@@ -25,6 +25,62 @@ let test_gen_valid () =
     | Error e -> Alcotest.failf "seed %d generated an invalid spec: %s" seed e
   done
 
+(* Gen.validate reads the declared shapes; building every grid and
+   validating against the meshes must give the same verdict and the same
+   message, for the checked-in corpus, generated seeds, and variants of
+   each with a grid dropped, shrunk or of the wrong rank. *)
+let validate_by_building (spec : Gen.spec) =
+  let grids = Gen.build_grids spec in
+  try
+    List.iter
+      (Sf_backends.Exec.validate_stencil grids ~shape:spec.Gen.shape)
+      (Snowflake.Group.stencils spec.Gen.group);
+    Ok ()
+  with Invalid_argument m -> Error m
+
+let variants (spec : Gen.spec) =
+  let with_grids grids = { spec with Gen.grids } in
+  match spec.Gen.grids with
+  | [] -> [ spec ]
+  | g :: rest ->
+      let reshaped f = with_grids ({ g with Gen.gshape = f g.Gen.gshape } :: rest) in
+      [
+        spec;
+        with_grids rest;
+        reshaped (Array.map (fun e -> max 1 (e - 1)));
+        reshaped (fun s -> Array.append s [| 2 |]);
+      ]
+
+let test_validate_shapes_only () =
+  let files = Corpus.files "corpus" in
+  let corpus =
+    List.map
+      (fun f ->
+        match Corpus.load f with
+        | Ok spec -> spec
+        | Error e -> Alcotest.failf "corpus file does not load: %s" e)
+      files
+  in
+  check "corpus present" true (corpus <> []);
+  let generated = List.init 500 (fun k -> Gen.spec ~seed:(1000 + k) ()) in
+  let errors = ref 0 in
+  List.iter
+    (fun spec ->
+      List.iter
+        (fun v ->
+          let want = validate_by_building v in
+          if Result.is_error want then incr errors;
+          match (want, Gen.validate v) with
+          | Ok (), Ok () -> ()
+          | Error a, Error b when a = b -> ()
+          | _, got ->
+              let show = function Ok () -> "Ok" | Error m -> "Error " ^ m in
+              Alcotest.failf "%s: built grids say %s, declared shapes say %s"
+                v.Gen.label (show want) (show got))
+        (variants spec))
+    (corpus @ generated);
+  check "variants exercise the error path" true (!errors >= 500)
+
 let test_gen_seeds_differ () =
   let a = Gen.spec ~seed:1 () and b = Gen.spec ~seed:2 () in
   check "different seeds differ" true (Gen.describe a <> Gen.describe b)
@@ -200,6 +256,8 @@ let () =
       ( "corpus",
         [
           Alcotest.test_case "roundtrip" `Quick test_corpus_roundtrip;
+          Alcotest.test_case "validate from declared shapes" `Quick
+            test_validate_shapes_only;
           Alcotest.test_case "save/load/replay" `Quick test_corpus_save_load;
         ] );
       ( "oracle",
