@@ -58,7 +58,10 @@ let max_cells_arg =
   Arg.(
     value
     & opt int (16 * 1024 * 1024)
-    & info [ "max-cells" ] ~doc:"Per-request cell ceiling (shape x reps).")
+    & info [ "max-cells" ]
+        ~doc:
+          "Per-request cell ceiling, for shape x reps and for the cells of \
+           the program's declared grids.")
 
 let cell_budget_arg =
   Arg.(

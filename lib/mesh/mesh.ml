@@ -2,11 +2,15 @@ open Sf_util
 
 type t = { shape : Ivec.t; strides : Ivec.t; data : floatarray }
 
+let check_shape shape =
+  if Array.length shape = 0 then Error "empty shape"
+  else if Array.exists (fun e -> e <= 0) shape then Error "non-positive extent"
+  else Ok ()
+
 let create shape =
-  if Array.length shape = 0 then invalid_arg "Mesh.create: empty shape";
-  Array.iter
-    (fun e -> if e <= 0 then invalid_arg "Mesh.create: non-positive extent")
-    shape;
+  (match check_shape shape with
+  | Error m -> invalid_arg ("Mesh.create: " ^ m)
+  | Ok () -> ());
   let size = Ivec.product shape in
   {
     shape = Array.copy shape;

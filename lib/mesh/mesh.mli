@@ -10,9 +10,13 @@ open Sf_util
 
 type t
 
+val check_shape : Ivec.t -> (unit, string) result
+(** [Ok ()] when [create] accepts [shape]: rank at least 1 and every
+    extent positive. *)
+
 val create : Ivec.t -> t
-(** [create shape] is a zero-initialised mesh. Raises [Invalid_argument] on
-    empty shapes or non-positive extents. *)
+(** [create shape] is a zero-initialised mesh. Raises [Invalid_argument]
+    when [check_shape] refuses [shape]. *)
 
 val create_init : Ivec.t -> (Ivec.t -> float) -> t
 (** [create_init shape f] fills each point [p] with [f p]. *)

@@ -48,7 +48,7 @@ let find_or_create ~quota name =
           Hashtbl.add registry name s;
           s)
 
-let admit s ~cells =
+let admit s ~cells ~grid_cells =
   locked (fun () ->
       let q = s.quota in
       let reject code msg =
@@ -63,6 +63,11 @@ let admit s ~cells =
         reject Protocol.err_quota_cells
           (Printf.sprintf "request of %d cells exceeds per-request limit %d"
              cells q.max_cells)
+      else if grid_cells > q.max_cells then
+        reject Protocol.err_quota_cells
+          (Printf.sprintf
+             "program declares %d grid cells, exceeds per-request limit %d"
+             grid_cells q.max_cells)
       else if
         q.cell_budget <> max_int && s.cells_used + cells > q.cell_budget
       then

@@ -6,14 +6,18 @@
     socket.  Admission is checked at SUBMIT time against three limits:
     concurrent in-flight requests, cells per single request, and a
     cumulative lifetime cell budget.  Cells are iteration-shape points
-    times applications — the same unit the cost models use.
+    times applications — the same unit the cost models use.  The cells of
+    a request's declared grids must also fit the per-request limit, so
+    admission bounds what the request's executor allocates.
 
     All operations take the registry's internal lock; callers (connection
     threads, executors) need no external synchronisation. *)
 
 type quota = {
   max_inflight : int;  (** concurrent admitted-but-unfinished requests *)
-  max_cells : int;  (** cells in one request *)
+  max_cells : int;
+      (** cells in one request: its iteration space times its
+          repetitions, and the cells of its declared grids *)
   cell_budget : int;  (** lifetime cumulative cells; [max_int] = unmetered *)
 }
 
@@ -29,9 +33,11 @@ val find_or_create : quota:quota -> string -> t
 (** The session for this tenant, creating it with [quota] on first
     contact (an existing session keeps its original quota). *)
 
-val admit : t -> cells:int -> (unit, string * string) result
-(** Admit a request of [cells] cells: on [Ok] the in-flight count and the
-    budget are charged; on [Error (code, message)] nothing is, and [code]
+val admit : t -> cells:int -> grid_cells:int -> (unit, string * string) result
+(** Admit a request of [cells] cells (the iteration space times the
+    repetitions) whose grids hold [grid_cells] cells; both must be within
+    [max_cells].  On [Ok] the in-flight count and the budget (by [cells])
+    are charged; on [Error (code, message)] nothing is, and [code]
     is the protocol quota code ([Protocol.err_quota_*]).  The rejection
     is also counted in the session's stats. *)
 
