@@ -22,7 +22,6 @@ type channel = {
 
 type certificate = {
   group_label : string;
-  group_hash : int;
   stream_axis : int;
   stages : int;
   ranks : int list list;
@@ -452,7 +451,6 @@ let analyze ?(stream_axis = 0) ?depth_override ?(budget_bytes = default_budget)
           let cert =
             {
               group_label = group.Group.label;
-              group_hash = Group.hash group;
               stream_axis;
               stages;
               ranks;

@@ -63,7 +63,6 @@ type channel = {
 
 type certificate = {
   group_label : string;
-  group_hash : int;  (** [Group.hash] of the certified group *)
   stream_axis : int;
   stages : int;  (** number of greedy waves *)
   ranks : int list list;  (** every rank with at least one stencil *)

@@ -66,7 +66,21 @@ type key = {
   reps : int;  (* applications per invocation *)
 }
 
-let cache : (key, Kernel.t) Hashtbl.t = Hashtbl.create 64
+(* [key] picks the bucket; a hit also needs the exact group, since
+   [Group.hash] folds constants through [Hashtbl.hash] and distinct
+   programs can share it.  Labels stay outside identity.  Callers mostly
+   re-probe with the very group value they compiled (a solver's levels,
+   a cached parse), which skips the walk. *)
+module Cache = Hashtbl.Make (struct
+  type t = key * Group.t
+
+  let hash (key, _) = Hashtbl.hash key
+
+  let equal (k1, g1) (k2, g2) =
+    compare k1 k2 = 0 && (g1 == g2 || Group.equal g1 g2)
+end)
+
+let cache : Kernel.t Cache.t = Cache.create 64
 let hits = Sf_trace.Metrics.counter "jit.hits"
 let misses = Sf_trace.Metrics.counter "jit.misses"
 let cells = Sf_trace.Metrics.counter "jit.cells"
@@ -151,7 +165,7 @@ let key_of ~config ~reps backend ~shape group =
    lookups of unrelated kernels) and keeps whichever kernel a racing
    compile stored first. *)
 let cached key build =
-  match locked (fun () -> Hashtbl.find_opt cache key) with
+  match locked (fun () -> Cache.find_opt cache key) with
   | Some kernel ->
       Atomic.incr hits;
       kernel
@@ -159,10 +173,10 @@ let cached key build =
       Atomic.incr misses;
       let kernel = build () in
       locked (fun () ->
-          match Hashtbl.find_opt cache key with
+          match Cache.find_opt cache key with
           | Some existing -> existing
           | None ->
-              Hashtbl.replace cache key kernel;
+              Cache.replace cache key kernel;
               kernel)
 
 (* Lower once; certify, cost and execute that same plan.  Certification
@@ -209,7 +223,7 @@ let build config backend ~shape group =
    compile touches no process state beyond the cache and its counters. *)
 let rec compile ?(config = Config.default) ?(reps = 1) backend ~shape group =
   if reps < 1 then invalid_arg "Jit.compile: reps must be at least 1";
-  cached (key_of ~config ~reps backend ~shape group) (fun () ->
+  cached (key_of ~config ~reps backend ~shape group, group) (fun () ->
       Trace.span
         ~args:
           ([
@@ -255,7 +269,7 @@ let register_backend ~name compiler =
     invalid_arg
       (Printf.sprintf "Jit.register_backend: %S is a built-in backend" name);
   locked (fun () ->
-      if Hashtbl.mem registry name then Hashtbl.reset cache;
+      if Hashtbl.mem registry name then Cache.reset cache;
       Hashtbl.replace registry name compiler)
 
 (* Exported so a serving layer can coalesce concurrent compiles of the
@@ -277,6 +291,6 @@ let cache_key_hex ?(config = Config.default) ?(reps = 1) backend ~shape group
 let cache_stats () = (Atomic.get hits, Atomic.get misses)
 
 let clear_cache () =
-  locked (fun () -> Hashtbl.reset cache);
+  locked (fun () -> Cache.reset cache);
   Atomic.set hits 0;
   Atomic.set misses 0

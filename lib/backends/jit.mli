@@ -3,8 +3,10 @@
     [compile] lowers a stencil group for a concrete iteration shape with the
     chosen micro-compiler and memoises the result — the paper's "call-ables
     are cached, for subsequent use".  The cache key is structural (group
-    hash × shape × backend × options × applications per call), so
-    rebuilding an equal group from scratch still hits.
+    × shape × backend × options × applications per call), so rebuilding an
+    equal group from scratch still hits.  The group hash only picks the
+    bucket: a hit needs [Group.equal], constants compared bit for bit, so
+    two programs whose hashes collide never share a kernel.
 
     Compilation is thread-safe: the cache, the custom-backend registry and
     the hit/miss counters may be used from any domain (e.g. a pool task
@@ -92,8 +94,9 @@ val compile :
 val cache_key_hex : ?config:Config.t -> ?reps:int -> backend ->
   shape:Sf_util.Ivec.t -> Group.t -> string
 (** The structural cache identity [compile ?config ?reps] would use, as
-    a stable hex token.  Equal tokens mean the two compiles share one
-    cache entry — what a serving layer needs to coalesce concurrent
+    a stable hex token.  Distinct tokens never share a cache entry; equal
+    tokens share one unless the groups differ only where the group hash
+    collides — what a serving layer needs to coalesce concurrent
     identical compiles into a single lowering instead of letting them race
     inside {!compile}. *)
 

@@ -124,7 +124,8 @@ let rec simplify e =
 
 let rec equal a b =
   match (a, b) with
-  | Const x, Const y -> Float.equal x y
+  | Const x, Const y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
   | Param p, Param q -> String.equal p q
   | Read (g1, m1), Read (g2, m2) -> String.equal g1 g2 && Affine.equal m1 m2
   | Neg x, Neg y -> equal x y

@@ -66,6 +66,10 @@ val simplify : t -> t
     Preserves semantics for finite inputs; division is never reordered. *)
 
 val equal : t -> t -> bool
+(** Structural identity, constants compared bit for bit: [0.] and [-0.]
+    differ, a NaN equals itself.  Equal expressions denote the same
+    kernel. *)
+
 val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

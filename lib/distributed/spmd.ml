@@ -148,21 +148,22 @@ let per_rank_stencil _t stencil r =
    the alive ones) *)
 let gsrb_group ?ranks t ~label =
   let ranks = match ranks with Some rs -> rs | None -> alive t in
-  let color c =
-    List.map (per_rank_stencil t (Nd.gsrb_color ~dims:t.dims ~color:c)) ranks
-  in
+  let sweep color = Nd.gsrb_sweep (Nd.vc ~dims:t.dims) ~ncolors:2 ~color in
   Group.make ~label
-    (exchange_stencils t ~base:"u"
-    @ color 0
-    @ exchange_stencils t ~base:"u"
-    @ color 1)
+    (List.concat_map
+       (fun color ->
+         exchange_stencils t ~base:"u"
+         @ List.map (per_rank_stencil t (sweep color)) ranks)
+       [ 0; 1 ])
 
 let gsrb_smooth_group t = gsrb_group t ~label:"spmd_gsrb"
 
 let residual_group t =
   Group.make ~label:"spmd_residual"
     (exchange_stencils t ~base:"u"
-    @ List.map (per_rank_stencil t (Nd.residual_vc ~dims:t.dims)) (alive t))
+    @ List.map
+        (per_rank_stencil t (Nd.residual (Nd.vc ~dims:t.dims)))
+        (alive t))
 
 (* The "rank" fault site: consult the armed clauses once per alive rank;
    a Kill_rank firing loses that rank's memory.  Returns the newly killed
@@ -246,7 +247,9 @@ let run_group t group =
 let init_dinv t =
   run_group t
     (Group.make ~label:"spmd_dinv"
-       (List.map (per_rank_stencil t (Nd.dinv_setup ~dims:t.dims)) (alive t)))
+       (List.map
+          (per_rank_stencil t (Nd.dinv (Nd.vc ~dims:t.dims)))
+          (alive t)))
 
 (* physical coordinate of local index l on rank r along axis a *)
 let coord t r a l = (float_of_int ((r.(a) * t.local_n) + l) -. 0.5) *. h t

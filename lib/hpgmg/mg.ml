@@ -112,40 +112,30 @@ let reset_profile t = Hashtbl.reset t.timers
 (* Stencil groups built once per solver, at its rank, and reused across
    levels; resolution against each level's shape happens at JIT time, so
    one definition serves the whole hierarchy — the language property
-   §II.A calls out.  Gsrb4, Chebyshev and trilinear interpolation exist
-   only in 3-D ({!Operators}). *)
+   §II.A calls out.  Jacobi and Chebyshev relax the constant-coefficient
+   operator; the residual is always the variable-coefficient one. *)
 let make_groups ~dims (config : config) =
-  let only_3d what =
-    if dims <> 3 then
-      invalid_arg
-        (Printf.sprintf "Mg.create: %s is 3-D only (dims = %d)" what dims)
-  in
+  let vc = Nd.vc ~dims and cc = Nd.cc ~dims in
   let smoother =
     match config.smoother with
-    | Gsrb -> Nd.gsrb_smooth ~dims
-    | Jacobi -> Nd.jacobi_smooth ~dims
-    | Gsrb4 ->
-        only_3d "the Gsrb4 smoother";
-        Operators.gsrb4_smooth
-    | Chebyshev degree ->
-        only_3d "the Chebyshev smoother";
-        Operators.chebyshev_smooth ~degree
+    | Gsrb -> Nd.gsrb vc ~ncolors:2
+    | Gsrb4 -> Nd.gsrb vc ~ncolors:4
+    | Jacobi -> Nd.jacobi cc
+    | Chebyshev degree -> Nd.chebyshev cc ~degree
   in
   let interp =
     match config.interp with
     | Constant -> Group.make ~label:"interp_pc" (Nd.interpolation ~dims)
     | Linear ->
-        only_3d "Linear interpolation";
         Group.make ~label:"interp_tl"
-          (Operators.boundaries ~grid:"coarse_u"
-          @ Operators.interpolation_linear)
+          (Nd.boundaries ~dims ~grid:"coarse_u" @ Nd.interpolation_linear ~dims)
   in
   {
     smoother;
     residual =
       Group.make ~label:"residual"
-        (Nd.boundaries ~dims ~grid:"u" @ [ Nd.residual_vc ~dims ]);
-    dinv = Group.make ~label:"dinv" [ Nd.dinv_setup ~dims ];
+        (Nd.boundaries ~dims ~grid:"u" @ [ Nd.residual vc ]);
+    dinv = Group.make ~label:"dinv" [ Nd.dinv vc ];
     restrict = Group.make ~label:"restrict" [ Nd.restriction ~dims ];
     interp;
   }
@@ -154,8 +144,8 @@ let smoother_params (config : config) level =
   match config.smoother with
   | Gsrb | Gsrb4 | Jacobi -> Level.params level
   | Chebyshev degree ->
-      Operators.chebyshev_params ~level_h:level.Level.h ~lambda_lo_frac:0.1
-        ~degree
+      Nd.chebyshev_params ~dims:level.Level.dims ~level_h:level.Level.h
+        ~lambda_lo_frac:0.1 ~degree
 
 (* Kernels come from the supervised compiler against the *active*
    backend: on a clean run this is exactly Jit.compile (the supervised

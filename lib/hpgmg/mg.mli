@@ -11,9 +11,11 @@ open Sf_backends
 
 type interp_kind = Constant | Linear
 
-(** Smoother selection.  [Gsrb] is the paper's benchmark configuration;
-    [Gsrb4] uses the four-colour ordering of Fig. 3b; [Jacobi] and
-    [Chebyshev] are constant-coefficient smoothers (use with β ≡ 1). *)
+(** Smoother selection, each derived by {!Nd} at the solver's rank.
+    [Gsrb] is the paper's benchmark configuration; [Gsrb4] uses the
+    four-colour ordering of Fig. 3b.  [Jacobi] and [Chebyshev] relax the
+    constant-coefficient operator while the residual is always the
+    variable-coefficient one, hence: use them with β ≡ 1. *)
 type smoother = Gsrb | Gsrb4 | Jacobi | Chebyshev of int
 
 type config = {
@@ -62,10 +64,9 @@ val create : ?config:config -> ?dims:int -> n:int -> unit -> t
     constructors, then compiles and binds every level's operators, so
     the cycles never probe the Jit cache.  [n] must be [coarsest_n]·2^k.
     Betas default to 1; call {!set_beta} (3-D) or {!Level.set_beta_nd} on
-    each of [levels] then {!init_dinv} to change them.  Raises
-    [Invalid_argument] for [dims < 1], and for [dims <> 3] when [config]
-    asks for a 3-D-only choice: the [Gsrb4] or [Chebyshev _] smoother or
-    [Linear] interpolation. *)
+    each of [levels] then {!init_dinv} to change them.  Every smoother
+    and interpolation works at every rank.  Raises [Invalid_argument]
+    for [dims < 1] and for an [n] of the wrong form. *)
 
 val finest : t -> Level.t
 

@@ -1,252 +1,74 @@
 open Sf_util
 open Snowflake
 
-(* The dimension-generic constructions live in {!Nd}; this module pins
-   them to the 3-D HPGMG instantiation and adds the operators that are
-   inherently 3-D (27-point, fourth-order, Chebyshev step sizing). *)
+(* The 3-D instantiation of {!Nd} that the benchmarks and CLIs read,
+   plus two higher-order constant-coefficient operators. *)
 
-let dims = 3
-let zero = Ivec.zero dims
+let boundaries ~grid = Nd.boundaries ~dims:3 ~grid
 
-let off a v =
-  let o = Ivec.zero dims in
-  o.(a) <- v;
-  o
+let laplacian_7pt ~out ~input =
+  Stencil.make ~label:"cc_laplacian_7pt" ~output:out
+    ~expr:((Nd.cc ~dims:3).apply input)
+    ~domain:(Nd.interior ~dims:3) ()
 
-let interior = Nd.interior ~dims
-let boundaries ~grid = Nd.boundaries ~dims ~grid
-let cc_apply_expr input = Nd.cc_apply_expr ~dims input
-let laplacian_7pt ~out ~input = Nd.laplacian_cc ~dims ~out ~input
-let residual_cc = Nd.residual_cc ~dims
-let jacobi_cc ~out ~input = Nd.jacobi_cc ~dims ~out ~input
-let vc_apply_expr input = Nd.vc_apply_expr ~dims input
+let residual_vc = Nd.residual (Nd.vc ~dims:3)
+let dinv_setup = Nd.dinv (Nd.vc ~dims:3)
+let gsrb_smooth = Nd.gsrb (Nd.vc ~dims:3) ~ncolors:2
+let jacobi_smooth = Nd.jacobi (Nd.cc ~dims:3)
+let restriction = Nd.restriction ~dims:3
+let interpolation = Nd.interpolation ~dims:3
 
-let vc_apply ~out ~input =
-  Stencil.make ~label:"vc_apply" ~output:out ~expr:(vc_apply_expr input)
-    ~domain:interior ()
-
-let residual_vc = Nd.residual_vc ~dims
-let dinv_setup = Nd.dinv_setup ~dims
-let gsrb_color ~color = Nd.gsrb_color ~dims ~color
-let gsrb_smooth = Nd.gsrb_smooth ~dims
-let copy_interior ~out ~input = Nd.copy_interior ~dims ~out ~input
-let jacobi_smooth = Nd.jacobi_smooth ~dims
-let restriction = Nd.restriction ~dims
-let interpolation = Nd.interpolation ~dims
-
-let parities =
-  List.concat_map
-    (fun px ->
-      List.concat_map
-        (fun py -> List.map (fun pz -> (px, py, pz)) [ 0; 1 ])
-        [ 0; 1 ])
-    [ 0; 1 ]
-
-let interpolation_linear =
-  List.map
-    (fun (px, py, pz) ->
-      let out_map =
-        Affine.make ~scale:(Ivec.make dims 2)
-          ~offset:(Ivec.of_list [ px - 1; py - 1; pz - 1 ])
-      in
-      (* per axis: 3/4 from the containing coarse cell, 1/4 from the coarse
-         neighbour on the side the fine cell leans toward *)
-      let dir p = if p = 0 then -1 else 1 in
-      let terms =
-        List.concat_map
-          (fun dx ->
-            List.concat_map
-              (fun dy ->
-                List.map
-                  (fun dz ->
-                    let w d = if d = 0 then 0.75 else 0.25 in
-                    let weight = w dx *. w dy *. w dz in
-                    let offset =
-                      Ivec.of_list
-                        [
-                          (if dx = 0 then 0 else dir px);
-                          (if dy = 0 then 0 else dir py);
-                          (if dz = 0 then 0 else dir pz);
-                        ]
-                    in
-                    Expr.(const weight *: read "coarse_u" offset))
-                  [ 0; 1 ])
-              [ 0; 1 ])
-          [ 0; 1 ]
-      in
-      Stencil.make
-        ~label:(Printf.sprintf "interp_tl_%d%d%d" px py pz)
-        ~output:"fine_u" ~out_map
-        ~expr:Expr.(read_affine "fine_u" out_map +: sum terms)
-        ~domain:interior ())
-    parities
-
-(* ------------------------------------------------ higher-order et al. *)
-
-let offsets_within ~radius ~l1_min ~l1_max =
-  let r = List.init ((2 * radius) + 1) (fun i -> i - radius) in
-  List.concat_map
-    (fun dx ->
-      List.concat_map
-        (fun dy ->
-          List.filter_map
-            (fun dz ->
-              let l1 = abs dx + abs dy + abs dz in
-              if l1 >= l1_min && l1 <= l1_max then
-                Some (Ivec.of_list [ dx; dy; dz ])
-              else None)
-            r)
-        r)
-    r
+(* ------------------------------------------------ higher-order operators *)
 
 let laplacian_27pt ~out ~input =
   let u o = Expr.read input o in
-  let weighted w offs = List.map (fun o -> Expr.(const w *: u o)) offs in
-  let faces = offsets_within ~radius:1 ~l1_min:1 ~l1_max:1 in
-  let edges =
-    List.filter
-      (fun o -> Ivec.linf_norm o = 1)
-      (offsets_within ~radius:1 ~l1_min:2 ~l1_max:2)
+  let r = [ -1; 0; 1 ] in
+  let cube =
+    List.concat_map
+      (fun dx ->
+        List.concat_map
+          (fun dy -> List.map (fun dz -> Ivec.of_list [ dx; dy; dz ]) r)
+          r)
+      r
   in
-  let corners = offsets_within ~radius:1 ~l1_min:3 ~l1_max:3 in
+  (* every tap at L1 distance [l1] from the centre, weighted [w] *)
+  let taps w l1 =
+    List.filter_map
+      (fun o ->
+        if Ivec.l1_norm o = l1 then Some Expr.(const w *: u o) else None)
+      cube
+  in
   let expr =
     Expr.(
       param "inv_h2"
       *: (const (1. /. 30.)
-         *: ((const 128. *: u zero)
-            -: sum
-                 (weighted 14. faces @ weighted 3. edges
-                @ weighted 1. corners))))
+         *: ((const 128. *: u (Ivec.zero 3))
+            -: sum (taps 14. 1 @ taps 3. 2 @ taps 1. 3))))
   in
-  Stencil.make ~label:"cc_laplacian_27pt" ~output:out ~expr ~domain:interior
-    ()
+  Stencil.make ~label:"cc_laplacian_27pt" ~output:out ~expr
+    ~domain:(Nd.interior ~dims:3) ()
 
 let laplacian_4th ~out ~input =
-  let u o = Expr.read input o in
+  (* input at [v] cells along axis [a] *)
+  let u a v =
+    Expr.read input (Array.init 3 (fun b -> if b = a then v else 0))
+  in
   let axis_terms a =
     Expr.
       [
-        const (-1.) *: u (off a (-2));
-        const 16. *: u (off a (-1));
-        const 16. *: u (off a 1);
-        const (-1.) *: u (off a 2);
+        const (-1.) *: u a (-2);
+        const 16. *: u a (-1);
+        const 16. *: u a 1;
+        const (-1.) *: u a 2;
       ]
   in
   let expr =
     Expr.(
       param "inv_h2"
       *: (const (1. /. 12.)
-         *: ((const 90. *: u zero)
+         *: ((const 90. *: u 0 0)
             -: sum (List.concat_map axis_terms [ 0; 1; 2 ]))))
   in
   Stencil.make ~label:"cc_laplacian_4th" ~output:out ~expr
-    ~domain:(Domain.interior dims ~ghost:2)
+    ~domain:(Domain.interior 3 ~ghost:2)
     ()
-
-let gsrb4_color ~color =
-  Stencil.make
-    ~label:(Printf.sprintf "gsrb4_c%d" color)
-    ~output:"u"
-    ~expr:
-      Expr.(
-        read "u" zero
-        +: (read "dinv" zero *: (read "f" zero -: vc_apply_expr "u")))
-    ~domain:(Domain.colored dims ~ghost:1 ~color ~ncolors:4)
-    ()
-
-let gsrb4_smooth =
-  Group.make ~label:"gsrb4_smooth"
-    (List.concat_map
-       (fun color -> boundaries ~grid:"u" @ [ gsrb4_color ~color ])
-       [ 0; 1; 2; 3 ])
-
-let chebyshev_smooth ~degree =
-  if degree < 1 then invalid_arg "Operators.chebyshev_smooth: degree >= 1";
-  let step k ~src ~dst =
-    Stencil.make
-      ~label:(Printf.sprintf "cheb_step_%d" k)
-      ~output:dst
-      ~expr:
-        Expr.(
-          read src zero
-          +: (param (Printf.sprintf "cheb_a%d" k)
-             *: (read "f" zero -: cc_apply_expr src)))
-      ~domain:interior ()
-  in
-  let rec steps k src dst acc =
-    if k >= degree then List.rev acc
-    else
-      let s = boundaries ~grid:src @ [ step k ~src ~dst ] in
-      steps (k + 1) dst src (List.rev_append s acc)
-  in
-  let body = steps 0 "u" "tmp" [] in
-  (* after an odd number of steps the current iterate lives in tmp *)
-  let tail =
-    if degree mod 2 = 1 then [ copy_interior ~out:"u" ~input:"tmp" ] else []
-  in
-  Group.make ~label:(Printf.sprintf "chebyshev_%d" degree) (body @ tail)
-
-let chebyshev_params ~level_h ~lambda_lo_frac ~degree =
-  let lambda_max = 12. /. (level_h *. level_h) in
-  let lambda_min = lambda_lo_frac *. lambda_max in
-  let theta = 0.5 *. (lambda_max +. lambda_min) in
-  let rho = 0.5 *. (lambda_max -. lambda_min) in
-  let pi = 4. *. atan 1. in
-  ("inv_h2", 1. /. (level_h *. level_h))
-  :: List.init degree (fun k ->
-         let angle =
-           pi *. ((2. *. float_of_int k) +. 1.) /. (2. *. float_of_int degree)
-         in
-         (Printf.sprintf "cheb_a%d" k, 1. /. (theta +. (rho *. cos angle))))
-
-(* ------------------------------------------------- Helmholtz operator *)
-
-(* HPGMG's full operator is a·α(x)·u − b·∇·β∇u with a cell-centred
-   coefficient grid "alpha" and scalar parameters a_coef/b_coef; Poisson
-   is the a = 0, b = 1 special case.  [dims] is 3 here. *)
-let helmholtz_apply_expr input =
-  let u o = Expr.read input o in
-  Expr.(
-    (param "a_coef" *: read "alpha" zero *: u zero)
-    +: (param "b_coef" *: vc_apply_expr input))
-
-let sum_betas_3d =
-  Expr.sum
-    (List.concat_map
-       (fun a ->
-         [ Expr.read (Nd.beta_name a) zero; Expr.read (Nd.beta_name a) (off a 1) ])
-       [ 0; 1; 2 ])
-
-let helmholtz_diag_expr =
-  Expr.(
-    (param "a_coef" *: read "alpha" zero)
-    +: (param "b_coef" *: param "inv_h2" *: sum_betas_3d))
-
-let residual_helmholtz =
-  Stencil.make ~label:"helmholtz_residual" ~output:"res"
-    ~expr:Expr.(read "f" zero -: helmholtz_apply_expr "u")
-    ~domain:interior ()
-
-let dinv_helmholtz_setup =
-  Stencil.make ~label:"dinv_helmholtz" ~output:"dinv"
-    ~expr:Expr.(const 1. /: helmholtz_diag_expr)
-    ~domain:interior ()
-
-let gsrb_helmholtz_color ~color =
-  Stencil.make
-    ~label:(if color = 0 then "gsrb_h_red" else "gsrb_h_black")
-    ~output:"u"
-    ~expr:
-      Expr.(
-        read "u" zero
-        +: (read "dinv" zero
-           *: (read "f" zero -: helmholtz_apply_expr "u")))
-    ~domain:(Domain.colored dims ~ghost:1 ~color ~ncolors:2)
-    ()
-
-let gsrb_helmholtz_smooth =
-  Group.make ~label:"gsrb_helmholtz_smooth"
-    (boundaries ~grid:"u"
-    @ [ gsrb_helmholtz_color ~color:0 ]
-    @ boundaries ~grid:"u"
-    @ [ gsrb_helmholtz_color ~color:1 ])

@@ -1,12 +1,14 @@
-(** The HPGMG operator suite, expressed in the Snowflake DSL (paper §V).
+(** The HPGMG operator suite in 3-D, as the benchmarks and CLIs use it
+    (paper §V).
 
-    All operators are 3-D, cell-centred, with a one-cell ghost halo: a level
-    of interior size n³ is stored in an (n+2)³ mesh.  Grid names used
-    throughout: ["u"] (solution), ["f"] (right-hand side), ["res"]
-    (residual), ["tmp"] (Jacobi ping-pong), ["beta_x"/"beta_y"/"beta_z"]
-    (face-centred coefficients; [beta_x] at cell [i] is the coefficient on
-    the face between cells [i-1] and [i]), ["dinv"] (precomputed inverse
-    diagonal).  The scalar parameter ["inv_h2"] is 1/h².
+    Every value but the two higher-order operators is {!Nd}'s, at rank 3.
+    Operators are cell-centred with a one-cell ghost halo: a level of
+    interior size n³ is stored in an (n+2)³ mesh.  Grid names: ["u"]
+    (solution), ["f"] (right-hand side), ["res"] (residual), ["tmp"]
+    (Jacobi ping-pong), ["beta_x"/"beta_y"/"beta_z"] (face-centred
+    coefficients; [beta_x] at cell [i] is the coefficient on the face
+    between cells [i-1] and [i]), ["dinv"] (precomputed inverse diagonal).
+    The scalar parameter ["inv_h2"] is 1/h².
 
     The continuous operator is A u = −∇·(β∇u) (Poisson when β ≡ 1), with
     homogeneous Dirichlet boundaries enforced linearly through the ghost
@@ -14,13 +16,6 @@
     the paper's Fig. 4 example. *)
 
 open Snowflake
-
-val dims : int
-(** 3. *)
-
-val interior : Domain.t
-(** Unit-stride domain over all interior cells (ghost = 1), reusable across
-    level sizes thanks to relative bounds. *)
 
 val boundaries : grid:string -> Stencil.t list
 (** The six face stencils of the linear Dirichlet condition on [grid]:
@@ -31,27 +26,11 @@ val laplacian_7pt : out:string -> input:string -> Stencil.t
     [out = inv_h2 * (6*input(0) − Σ face neighbours)] — the canonical
     CC 7-pt stencil of Fig. 7. *)
 
-val residual_cc : Stencil.t
-(** [res = f − A u] with the constant-coefficient A. *)
-
-val jacobi_cc : out:string -> input:string -> Stencil.t
-(** One weighted-Jacobi sweep
-    [out = input + (2/3) D⁻¹ (f − A input)], constant-coefficient;
-    D = 6·inv_h2.  (Fig. 7's "CC Jacobi".) *)
-
-val vc_apply : out:string -> input:string -> Stencil.t
-(** [out = A_vc input], the variable-coefficient 7-point operator. *)
-
 val residual_vc : Stencil.t
-(** [res = f − A_vc u]. *)
+(** [res = f − A_vc u]: [Nd.residual (Nd.vc ~dims:3)]. *)
 
 val dinv_setup : Stencil.t
-(** Precomputes [dinv = 1 / (inv_h2 · Σ face betas)] over the interior. *)
-
-val gsrb_color : color:int -> Stencil.t
-(** One colour sweep of in-place Gauss–Seidel red-black with the
-    variable-coefficient operator:
-    [u += dinv * (f − A_vc u)] over the checkerboard colour. *)
+(** [dinv = 1 / (inv_h2 · Σ face betas)] over the interior. *)
 
 val gsrb_smooth : Group.t
 (** One full GSRB smooth as measured in Fig. 8: boundaries, red sweep,
@@ -59,8 +38,8 @@ val gsrb_smooth : Group.t
     describes. *)
 
 val jacobi_smooth : Group.t
-(** Boundary exchange + one CC Jacobi sweep u→tmp plus the copy-back
-    sweep tmp→u (out-of-place ping-pong). *)
+(** Boundary exchange + one CC weighted-Jacobi sweep u→tmp plus the
+    copy-back sweep tmp→u (Fig. 7's "CC Jacobi"). *)
 
 val restriction : Stencil.t
 (** Piecewise-constant (8-cell average) restriction of the fine ["res"]
@@ -75,13 +54,7 @@ val interpolation : Stencil.t list
     through a scale-2 output map.  Grid names: reads ["coarse_u"], reads and
     writes ["fine_u"]. *)
 
-val interpolation_linear : Stencil.t list
-(** Trilinear interpolation-and-correct (HPGMG's higher-order prolongation,
-    implemented as the paper's future-work extension): each of the eight
-    parity stencils blends the 8 nearest coarse cells with weights
-    (3/4,1/4)³ per axis. *)
-
-(** {2 Higher-order and alternative operators}
+(** {2 Higher-order operators}
 
     The paper's §II claims "higher-order operators (larger stencils)" as a
     language feature; these exercise it. *)
@@ -97,40 +70,3 @@ val laplacian_4th : out:string -> input:string -> Stencil.t
     by [inv_h2].  Radius 2: its domain keeps two cells from each face, so
     it composes with a ghost region of width ≥ 2 or with interior-only
     evaluation. *)
-
-val gsrb4_smooth : Group.t
-(** A four-colour in-place smoothing (paper Fig. 3b): colours by
-    coordinate-sum mod 4, each colour sweep point-parallel, boundaries
-    interleaved between sweeps. *)
-
-val chebyshev_smooth : degree:int -> Group.t
-(** Degree-d Chebyshev smoothing for the constant-coefficient operator
-    (the paper names Chebyshev smoothing among the in-place techniques the
-    language must express).  Step k computes
-    [u ← u + α_k (f − A u)] out-of-place through ["tmp"] ping-pong, with
-    boundary stencils interleaved; the α_k are scalar parameters
-    ["cheb_a0"], ["cheb_a1"], ... bound at call time (see
-    {!chebyshev_params}). *)
-
-val chebyshev_params :
-  level_h:float -> lambda_lo_frac:float -> degree:int -> (string * float) list
-(** Parameter bindings for {!chebyshev_smooth}: classic Chebyshev step
-    sizes targeting the eigenvalue interval
-    [[lambda_lo_frac·λmax, λmax]] of the CC operator, whose λmax on a unit
-    cube with spacing h is 12/h² (up to the sin² factor ≤ 1).  Includes
-    [inv_h2]. *)
-
-(** {2 The full HPGMG (Helmholtz) operator}
-
-    HPGMG's operator is A u = a·α(x)·u − b·∇·(β∇u) with a cell-centred
-    coefficient grid ["alpha"] and scalar parameters ["a_coef"],
-    ["b_coef"]; the Poisson configuration used elsewhere in this library
-    is the a = 0, b = 1 special case.  (We keep the sign convention
-    A = −∇·β∇ inside {!vc_apply}, so [b_coef] multiplies that SPD
-    term.) *)
-
-val helmholtz_apply_expr : string -> Expr.t
-val residual_helmholtz : Stencil.t
-val dinv_helmholtz_setup : Stencil.t
-val gsrb_helmholtz_color : color:int -> Stencil.t
-val gsrb_helmholtz_smooth : Group.t

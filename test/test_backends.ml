@@ -1184,6 +1184,32 @@ let test_jit_cache () =
   let hits, _ = Jit.cache_stats () in
   check_int "structural hit" 2 hits
 
+(* A hit is decided by exact group equality, not by the bucket hash:
+   [Hashtbl.hash] maps the factors 23.182 and 38.905 to one value, so
+   both programs land in one bucket, yet each must get its own kernel. *)
+let test_jit_exact_identity () =
+  check_int "the factors share a hash" (Hashtbl.hash 23.182)
+    (Hashtbl.hash 38.905);
+  let shape = iv [ 6; 6 ] in
+  let scale factor =
+    Group.make ~label:"scale"
+      [ Dsl.scale ~dims:2 ~out:"out" ~input:"u" ~factor () ]
+  in
+  List.iter
+    (fun backend ->
+      List.iter
+        (fun factor ->
+          let u = Mesh.create shape and out = Mesh.create shape in
+          Mesh.fill u 1.;
+          (Jit.compile backend ~shape (scale factor)).Kernel.run
+            (Grids.of_list [ ("u", u); ("out", out) ]);
+          check_float
+            (Printf.sprintf "%s scales by %g" (Jit.backend_name backend)
+               factor)
+            factor (Mesh.get out [| 2; 3 |]))
+        [ 23.182; 38.905 ])
+    [ Jit.Interp; Jit.Compiled; Jit.Openmp ]
+
 let test_jit_cache_reps () =
   (* [reps] is part of the key: [~reps:1] is the plain entry, [~reps:2] a
      second one whose single call equals two plain calls bit for bit *)
@@ -1574,6 +1600,8 @@ let () =
         [
           Alcotest.test_case "cache" `Quick test_jit_cache;
           Alcotest.test_case "cache keyed by reps" `Quick test_jit_cache_reps;
+          Alcotest.test_case "exact kernel identity" `Quick
+            test_jit_exact_identity;
           Alcotest.test_case "thread safety" `Quick test_jit_thread_safety;
           Alcotest.test_case "backend names" `Quick test_backend_names;
           Alcotest.test_case "custom registry" `Quick

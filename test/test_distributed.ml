@@ -106,7 +106,7 @@ let setup_pair ~rank_grid ~local_n =
   let run_single group =
     (Jit.compile Jit.Compiled ~shape group).Kernel.run ~params grids
   in
-  run_single (Group.make ~label:"dinv1" [ Nd.dinv_setup ~dims ]);
+  run_single (Group.make ~label:"dinv1" [ Nd.dinv (Nd.vc ~dims) ]);
   (t, grids, run_single)
 
 let test_smooth_matches_single_domain_2d () =
@@ -115,7 +115,7 @@ let test_smooth_matches_single_domain_2d () =
   for _ = 1 to 3 do
     (Jit.compile Jit.Compiled ~shape:t.Spmd.shape (Spmd.gsrb_smooth_group t)).Kernel.run
       ~params:(Spmd.params t) t.Spmd.grids;
-    run_single (Nd.gsrb_smooth ~dims)
+    run_single (Nd.gsrb (Nd.vc ~dims) ~ncolors:2)
   done;
   let gathered = Spmd.gather t ~base:"u" in
   (* compare interiors only: gathered ghosts are zero while the
@@ -138,7 +138,7 @@ let test_residual_matches_single_domain_3d_noncubic () =
     ~params:(Spmd.params t) t.Spmd.grids;
   run_single
     (Group.make ~label:"res1"
-       (Nd.boundaries ~dims ~grid:"u" @ [ Nd.residual_vc ~dims ]));
+       (Nd.boundaries ~dims ~grid:"u" @ [ Nd.residual (Nd.vc ~dims) ]));
   let gathered = Spmd.gather t ~base:"res" in
   let single = Grids.find grids "res" in
   let d = ref 0. in

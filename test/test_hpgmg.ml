@@ -168,7 +168,8 @@ let test_gsrb4_converges () =
     Level.interior_norm_l2 level (Level.res level)
   in
   let smooth =
-    Jit.compile Jit.Compiled ~shape:level.Level.shape Operators.gsrb4_smooth
+    Jit.compile Jit.Compiled ~shape:level.Level.shape
+      (Nd.gsrb (Nd.vc ~dims:3) ~ncolors:4)
   in
   let r0 = residual () in
   for _ = 1 to 30 do
@@ -193,24 +194,24 @@ let test_gsrb4_colors_parallel () =
           check_bool (s.Stencil.label ^ " parallel") true
             (Dependence.point_parallel ~shape s))
         colors)
-    [ Operators.gsrb4_smooth ]
+    [ Nd.gsrb (Nd.vc ~dims:3) ~ncolors:4 ]
 
 let test_chebyshev_smoother () =
   let level = Level.create ~n:8 in
   Level.fill_interior (Level.f level) level Problem.rhs_sine;
   let params =
-    Operators.chebyshev_params ~level_h:level.Level.h ~lambda_lo_frac:0.1
+    Nd.chebyshev_params ~dims:3 ~level_h:level.Level.h ~lambda_lo_frac:0.1
       ~degree:4
   in
   let smooth =
     Jit.compile Jit.Compiled ~shape:level.Level.shape
-      (Operators.chebyshev_smooth ~degree:4)
+      (Nd.chebyshev (Nd.cc ~dims:3) ~degree:4)
   in
   let residual () =
     let k =
       Jit.compile Jit.Compiled ~shape:level.Level.shape
         (Group.make ~label:"res_cc"
-           (Operators.boundaries ~grid:"u" @ [ Operators.residual_cc ]))
+           (Operators.boundaries ~grid:"u" @ [ Nd.residual (Nd.cc ~dims:3) ]))
     in
     k.Kernel.run ~params:(Level.params level) level.Level.grids;
     Level.interior_norm_l2 level (Level.res level)
@@ -226,10 +227,10 @@ let test_chebyshev_smoother () =
   (* odd degree ends with the copy-back and must also converge *)
   let smooth3 =
     Jit.compile Jit.Compiled ~shape:level.Level.shape
-      (Operators.chebyshev_smooth ~degree:3)
+      (Nd.chebyshev (Nd.cc ~dims:3) ~degree:3)
   in
   let params3 =
-    Operators.chebyshev_params ~level_h:level.Level.h ~lambda_lo_frac:0.1
+    Nd.chebyshev_params ~dims:3 ~level_h:level.Level.h ~lambda_lo_frac:0.1
       ~degree:3
   in
   for _ = 1 to 4 do
@@ -490,27 +491,171 @@ let test_helmholtz_smoother () =
       ~params:ps level.Level.grids
   in
   (* degenerate case: dinv and residual match the Poisson versions *)
-  run_group (Group.make ~label:"dh" [ Operators.dinv_helmholtz_setup ])
+  run_group (Group.make ~label:"dh" [ Nd.dinv (Nd.helmholtz ~dims:3) ])
     (params 0. 1.);
   let dinv_h = Mesh.copy (Level.dinv level) in
   run_group (Group.make ~label:"dp" [ Operators.dinv_setup ]) (params 0. 1.);
   check_bool "a=0,b=1 diag = poisson diag" true
     (Mesh.equal_approx ~tol:1e-14 dinv_h (Level.dinv level));
   (* now a genuine Helmholtz solve by relaxation *)
-  run_group (Group.make ~label:"dh" [ Operators.dinv_helmholtz_setup ])
+  run_group (Group.make ~label:"dh" [ Nd.dinv (Nd.helmholtz ~dims:3) ])
     (params 0.5 1.);
   let residual () =
     run_group
       (Group.make ~label:"rh"
-         (Operators.boundaries ~grid:"u" @ [ Operators.residual_helmholtz ]))
+         (Operators.boundaries ~grid:"u" @ [ Nd.residual (Nd.helmholtz ~dims:3) ]))
       (params 0.5 1.);
     Level.interior_norm_l2 level (Level.res level)
   in
   let r0 = residual () in
   for _ = 1 to 80 do
-    run_group Operators.gsrb_helmholtz_smooth (params 0.5 1.)
+    run_group (Nd.gsrb (Nd.helmholtz ~dims:3) ~ncolors:2) (params 0.5 1.)
   done;
   check_bool "helmholtz relaxation converges" true (residual () < r0 /. 1e3)
+
+(* ------------------------------------------------------ golden trees *)
+
+(* Every tree a solver, perfbench or sfserved runs, pinned byte for byte
+   by the MD5 of its [Program_io] text: same expression shape and
+   association, same constant bits (round-trip digits), same labels.  The
+   digests were recorded before the operators were derived from one
+   [Nd.operator] definition; kernels, native-module digests and results
+   all follow from these trees, so none may move. *)
+let pinned_groups () =
+  let smoother_name = function
+    | Mg.Gsrb -> "gsrb"
+    | Mg.Gsrb4 -> "gsrb4"
+    | Mg.Jacobi -> "jacobi"
+    | Mg.Chebyshev d -> Printf.sprintf "chebyshev%d" d
+  in
+  let mg ~dims smoother interp =
+    let config = { Mg.default_config with Mg.smoother; interp } in
+    let g = (Mg.create ~config ~dims ~n:4 ()).Mg.groups in
+    let name s = Printf.sprintf "mg%d %s" dims s in
+    [
+      (name (smoother_name smoother), g.Mg.smoother);
+      (name "residual", g.Mg.residual);
+      (name "dinv", g.Mg.dinv);
+      (name "restrict", g.Mg.restrict);
+      ( name
+          (match interp with Mg.Constant -> "interp_pc" | Mg.Linear -> "interp_tl"),
+        g.Mg.interp );
+    ]
+  in
+  let mg3 =
+    List.concat_map
+      (fun smoother ->
+        List.concat_map (mg ~dims:3 smoother) [ Mg.Constant; Mg.Linear ])
+      Mg.[ Gsrb; Gsrb4; Jacobi; Chebyshev 1; Chebyshev 2; Chebyshev 4 ]
+  in
+  let mg_nd =
+    List.concat_map
+      (fun dims ->
+        List.concat_map
+          (fun smoother -> mg ~dims smoother Mg.Constant)
+          Mg.[ Gsrb; Jacobi ])
+      [ 1; 2; 4 ]
+  in
+  let spmd =
+    List.concat_map
+      (fun rank_grid ->
+        let t = Sf_distributed.Spmd.create ~rank_grid ~local_n:2 in
+        let name s = Printf.sprintf "spmd%d %s" (List.length rank_grid) s in
+        [
+          (name "gsrb", Sf_distributed.Spmd.gsrb_smooth_group t);
+          (name "residual", Sf_distributed.Spmd.residual_group t);
+        ])
+      [ [ 2; 2 ]; [ 2; 1; 1 ] ]
+  in
+  let bcs = Operators.boundaries ~grid:"u" in
+  let operators =
+    [
+      ("ops boundaries", Group.make ~label:"bcs" bcs);
+      ( "ops residual",
+        Group.make ~label:"residual" (bcs @ [ Operators.residual_vc ]) );
+      ("ops gsrb_smooth", Operators.gsrb_smooth);
+      ( "ops cc7",
+        Group.make ~label:"cc_7pt"
+          (bcs @ [ Operators.laplacian_7pt ~out:"res" ~input:"u" ]) );
+      ("ops jacobi_smooth", Operators.jacobi_smooth);
+      ("ops dinv", Group.make ~label:"dinv" [ Operators.dinv_setup ]);
+      ("ops restrict", Group.make ~label:"restrict" [ Operators.restriction ]);
+      ("ops interp_pc", Group.make ~label:"interp_pc" Operators.interpolation);
+      ( "ops laplacian_27pt",
+        Group.make ~label:"l27"
+          [ Operators.laplacian_27pt ~out:"res" ~input:"u" ] );
+      ( "ops laplacian_4th",
+        Group.make ~label:"l4"
+          [ Operators.laplacian_4th ~out:"res" ~input:"u" ] );
+    ]
+  in
+  mg3 @ mg_nd @ spmd @ operators
+
+let golden_md5 =
+  [
+    ("mg3 gsrb", "f37e02d969bd395d6f06877d0666cb76");
+    ("mg3 residual", "c8b1e1fd247725a0b8627a1e6df2f11b");
+    ("mg3 dinv", "93e64bb5c1a383048d3b9b877f827df0");
+    ("mg3 restrict", "11c3f5e207158dbc692c3b50c5cf984b");
+    ("mg3 interp_pc", "66b1f1cf7bb556634a540c19d7f087bf");
+    ("mg3 interp_tl", "5ce8eb3ae097bd3023e4a9309cc5a0d9");
+    ("mg3 gsrb4", "b42038b63b1e147ebe9f9a5b6d0a95c8");
+    ("mg3 jacobi", "5ccc18163d909acb43564fedd8a1095c");
+    ("mg3 chebyshev1", "a3672e987b3f56a788e87638922dbeef");
+    ("mg3 chebyshev2", "d47466a39a66e40409e41a4d5319e1ff");
+    ("mg3 chebyshev4", "0e8c372e0e7b3162e9c085567ddfc558");
+    ("mg1 gsrb", "167fa9557d41b452fd4047e08a5ee902");
+    ("mg1 residual", "49db911c27ce008e1870b05b9e439469");
+    ("mg1 dinv", "2961a456931844b69ddb126da45688dd");
+    ("mg1 restrict", "d6b5a37177deee77432a9061f968849e");
+    ("mg1 interp_pc", "7f518e4da97fe7b7b0b7fccf764ea3ca");
+    ("mg1 jacobi", "ca539de477c82985d8a1a65aa059005d");
+    ("mg2 gsrb", "b70051fb43f6f8c5c7b14d60c2622f9b");
+    ("mg2 residual", "9011cbac31cab565e83742ee056d4c72");
+    ("mg2 dinv", "b6d2aa445ccbada1f62f534203c97465");
+    ("mg2 restrict", "071e885a0064756d82f4cb2d5ff99897");
+    ("mg2 interp_pc", "63da081979ad1ec2131cec3d7fbfaea0");
+    ("mg2 jacobi", "aba81e50745bcf1a0919958dfadb2c73");
+    ("mg4 gsrb", "acdb512fa39ab40b8e6d7ccf675ea601");
+    ("mg4 residual", "fb1533edbd98f4b396db896d66bc7c75");
+    ("mg4 dinv", "a429f97abef2bbf076b0a8dc6fc14091");
+    ("mg4 restrict", "f756341ebe884c28e1404baff99120a3");
+    ("mg4 interp_pc", "799ca14c10035bf7812e65de1a21de41");
+    ("mg4 jacobi", "128af01228c538fa41b3db24a3c89d41");
+    ("spmd2 gsrb", "948d18311be20db36e67b458188ded15");
+    ("spmd2 residual", "9053525205970eddbca8b41a773ede43");
+    ("spmd3 gsrb", "d6cc08f626feaf8e68f464e338f19f63");
+    ("spmd3 residual", "f9de959affa55b5d922df3468e6bb304");
+    ("ops boundaries", "a176de8da348397421f49f5f6d67012f");
+    ("ops residual", "c8b1e1fd247725a0b8627a1e6df2f11b");
+    ("ops gsrb_smooth", "f37e02d969bd395d6f06877d0666cb76");
+    ("ops cc7", "e4fbb9d40a19ed2df38d99bf6285e6ea");
+    ("ops jacobi_smooth", "5ccc18163d909acb43564fedd8a1095c");
+    ("ops dinv", "93e64bb5c1a383048d3b9b877f827df0");
+    ("ops restrict", "11c3f5e207158dbc692c3b50c5cf984b");
+    ("ops interp_pc", "66b1f1cf7bb556634a540c19d7f087bf");
+    ("ops laplacian_27pt", "8a558f63663b78a8c32a3a8525c45db9");
+    ("ops laplacian_4th", "5f6a03ead620d3eb302e535cc3f9267c");
+  ]
+
+let test_golden_trees () =
+  let seen = Hashtbl.create 64 in
+  List.iter
+    (fun (name, group) ->
+      let text = Program_io.group_to_string group in
+      match Hashtbl.find_opt seen name with
+      | Some first ->
+          check_bool (name ^ ": one tree at every config") true
+            (String.equal first text)
+      | None ->
+          Hashtbl.add seen name text;
+          Alcotest.(check string)
+            name
+            (Option.value ~default:"" (List.assoc_opt name golden_md5))
+            (Digest.to_hex (Digest.string text)))
+    (pinned_groups ());
+  check_int "every golden tree built" (List.length golden_md5)
+    (Hashtbl.length seen)
 
 let test_profile_breakdown () =
   let solver = Mg.create ~n:16 () in
@@ -648,6 +793,7 @@ let () =
           Alcotest.test_case "timed exception-safe" `Quick
             test_timed_exception_safe;
           Alcotest.test_case "helmholtz" `Quick test_helmholtz_smoother;
+          Alcotest.test_case "golden trees" `Quick test_golden_trees;
         ] );
       ( "level",
         [

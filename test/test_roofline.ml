@@ -45,7 +45,7 @@ let test_bytes_of_stencil () =
   let inplace = Stencil.rename_output lap "u" in
   check_float "in-place traffic" 16. (Bound.bytes_of_stencil inplace);
   (* GSRB reads 6 grids and writes one of them: 6*8 + 8 *)
-  let gsrb = Sf_hpgmg.Operators.gsrb_color ~color:0 in
+  let gsrb = Sf_hpgmg.Nd.(gsrb_sweep (vc ~dims:3) ~ncolors:2 ~color:0) in
   check_float "gsrb traffic" 56. (Bound.bytes_of_stencil gsrb)
 
 let test_bounds_arithmetic () =
