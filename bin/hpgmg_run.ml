@@ -281,7 +281,7 @@ let faults_arg =
            the flag wins when both are set): comma-separated \
            $(i,site:kind) clauses with optional $(i,@p=)/$(i,@n=)/\
            $(i,@count=)/$(i,@seed=)/$(i,@match=) modifiers, e.g. \
-           $(b,kernel:raise\\@match=openmp,wave:transient\\@n=2).  An armed \
+           $(b,kernel:raise@match=openmp,wave:transient@n=2).  An armed \
            campaign also switches the solve to the supervised path \
            (retry, backend failover, checkpoint/rollback); see \
            docs/RESILIENCE.md.")

@@ -1,56 +1,61 @@
 (** The native tier: hot polynomial stencils as compiled OCaml.
 
-    The paper's micro-compilers emit C, build a shared object, load it and
-    cache it by stencil hash.  This module does the same with OCaml: for a
-    stencil {e structure} ({!Native_emit.key}) it prints a module
-    ({!Native_emit.program}), builds it with [ocamlopt -shared] (the
-    compiler that built this library, resolved at build time), loads it
-    with [Dynlink] and runs that structure's tiles through it.  The module
-    performs exactly the closure tier's float operations in the same
-    order, so switching tiers never changes a bit of any result.
+    The paper's micro-compilers emit C for one stencil at one shape, build
+    a shared object, load it and cache it.  This module does the same with
+    OCaml, for one {e specialisation} at a time: a kernel's stencils at one
+    exact list of grid shapes and parameter values ({!Plan.execute}).  Its
+    polynomial forms print as one module ({!Native_emit.program}) with
+    every read delta a literal and the coefficients runtime values, built
+    with [ocamlopt -shared] (the compiler that built this library),
+    loaded with [Dynlink], and that specialisation's tiles run through
+    it.  The module performs exactly the closure tier's float operations
+    in the same order, so switching tiers never changes a bit of any
+    result.
 
-    {b Promotion} is ski rental.  Per structure, the time its tiles spend
-    in the closure tier is summed; once it reaches the cost of getting
-    native code — the last measured load when the module is already on
-    disk (seeded with 5 ms), else the last measured build (seeded with
-    50 ms) — exactly one
-    caller promotes it while every other keeps interpreting.  Short-lived
-    work therefore never pays a build.
+    {b Promotion} is ski rental, one account per specialisation: the time
+    its tiles spend in the closure tier is summed, and once it reaches the
+    cost of getting native code — nothing when this process already loaded
+    a module of the same text, the last measured load when it is on disk
+    (seeded with 5 ms), else the last measured build (seeded with 50 ms) —
+    exactly one caller promotes it while every other keeps interpreting.
+    Short-lived work therefore never pays a build.
 
-    {b Artefacts} are named [sfk_<digest>.cmxs] after the digest of the
-    source and the OCaml version, built in a private directory and renamed
+    {b Artefacts} are named [sfk_<digest>.cmxs] after the printed source
+    and the OCaml version, so specialisations that print the same program
+    share one module.  They are built in a private directory and renamed
     atomically into [$XDG_CACHE_HOME/snowflake/native] (or
-    [~/.cache/snowflake/native]; created mode 0700, and refused when other
-    users can write to it), so concurrent processes never see a partial
-    file.  The directory is only created and checked when the first
-    module is built or loaded.  Each is loaded at most once per process.
+    [~/.cache/snowflake/native]; created mode 0700 when the first module
+    is built or loaded, and refused when other users can write to it), and
+    each is loaded at most once per process.
 
     {b Failures} — no compiler, a failing build, a [Dynlink] error — are
-    recorded once ([Trace.Native_failures], {!failures}) and leave the
-    structure on the closure tier for good; nothing raises out of a
-    kernel.  The [Native_*] counters of {!Sf_trace.Trace} count
-    structures, promotions, builds, build time and disk hits. *)
+    recorded once ({!failures}) and leave the specialisation on the
+    closure tier for good; nothing raises out of a kernel.  The [native.*]
+    counters count specialisations ([native.structures]), promotions,
+    builds, build time, disk hits and failures. *)
 
-type structure
+type t
+(** One specialisation's native state: its forms, its ski-rental account
+    and, once promoted, its loaded module. *)
 
-val structure : Native_emit.t -> structure
-(** The process-wide record for this form's structure (created on first
-    sight). *)
+val make : Native_emit.t array -> t
+(** A cold account for a specialisation's polynomial forms, in the order
+    {!Run}'s functions follow. *)
 
-type entry = floatarray array -> floatarray -> int array -> int array -> unit
-(** A loaded module's [run slots coeffs geom deltas] (see
-    {!Native_emit.program}). *)
+type entry = floatarray array -> floatarray -> int array -> unit
+(** One form's [run slots coeffs geom] (see {!Native_emit.program}). *)
 
 type verdict =
-  | Run of entry  (** the structure is native: run the tile with this *)
+  | Run of entry array
+      (** the specialisation is native: run form [i]'s tile with entry [i] *)
   | Interpret  (** run the tile on the closure tier *)
   | Measure
       (** run it on the closure tier and {!charge} the time it took: the
-          structure is still a candidate for promotion *)
+          specialisation is still a candidate for promotion *)
 
-val select : structure -> verdict
-(** What one tile run of this structure should do now.  Under
-    [Force] (below) a cold structure is promoted here first.  Allocates
+val select : t -> verdict
+(** What one tile run of this specialisation should do now.  Under
+    [Force] (below) a cold one is promoted here first.  Allocates
     nothing. *)
 
 external clock : unit -> (int[@untagged])
@@ -58,9 +63,9 @@ external clock : unit -> (int[@untagged])
 [@@noalloc]
 (** Monotonic nanoseconds, for {!charge}. *)
 
-val charge : structure -> int -> unit
-(** Add closure-tier nanoseconds to the structure's total, and promote it
-    once the total pays for native code. *)
+val charge : t -> int -> unit
+(** Add closure-tier nanoseconds to the specialisation's account, and
+    promote it once the total pays for native code. *)
 
 (** {2 Control}
 
@@ -68,8 +73,8 @@ val charge : structure -> int -> unit
 
 type mode =
   | Auto  (** promote by ski rental (the default) *)
-  | Off  (** closure tier only, even for promoted structures *)
-  | Force  (** promote every structure on its first tile *)
+  | Off  (** closure tier only, even for promoted specialisations *)
+  | Force  (** promote every specialisation on its first tile *)
 
 val with_mode : mode -> (unit -> 'a) -> 'a
 (** Run with the mode set, restoring the previous one afterwards. *)
@@ -79,12 +84,14 @@ val compiler : unit -> string
     unless {!set_compiler} replaced it. *)
 
 val set_compiler : string -> unit
-(** Use another [ocamlopt] (tests point this at broken ones).  Forgets
-    every structure's promotion state; loaded modules stay loaded. *)
+(** Use another [ocamlopt] (tests point this at broken ones).  Looks for
+    the compiler and checks the cache directory again at the next
+    promotion; specialisations already promoted or failed keep that
+    state, and loaded modules stay loaded. *)
 
 val set_cache_dir : string -> unit
-(** Use another artefact directory instead of the XDG one.  Forgets every
-    structure's promotion state like {!set_compiler}. *)
+(** Use another artefact directory instead of the XDG one, from the next
+    promotion on, like {!set_compiler}. *)
 
 val failures : unit -> string list
 (** The most recent recorded failures (at most 16), newest first. *)

@@ -10,94 +10,36 @@ type node = {
 type t = { rank : int; nslots : int; nctrs : int; body : node }
 
 (* The one traversal order every consumer follows: a node's constant, its
-   linear taps, its factors (read, then the sub-node), then — when there
-   is a residual — a zero seed and each residual monomial's coefficient
-   and reads.  Coefficients go to [k], deltas to [z]. *)
-let rec visit ~k ~z nd =
-  k nd.const;
-  List.iter
-    (fun (r, w) ->
-      k w;
-      z r.delta)
-    nd.linear;
-  List.iter
-    (fun (r, sub) ->
-      z r.delta;
-      visit ~k ~z sub)
-    nd.factors;
-  if nd.residual <> [] then begin
-    k 0.;
-    List.iter
-      (fun (c, rs) ->
-        k c;
-        List.iter (fun r -> z r.delta) rs)
-      nd.residual
-  end
-
+   linear weights, its factors' sub-nodes, then — when there is a residual
+   — a zero seed and each residual monomial's coefficient. *)
 let coeffs nd =
   let acc = ref [] in
-  visit ~k:(fun c -> acc := c :: !acc) ~z:ignore nd;
+  let k c = acc := c :: !acc in
+  let rec visit nd =
+    k nd.const;
+    List.iter (fun (_, w) -> k w) nd.linear;
+    List.iter (fun (_, sub) -> visit sub) nd.factors;
+    if nd.residual <> [] then begin
+      k 0.;
+      List.iter (fun (c, _) -> k c) nd.residual
+    end
+  in
+  visit nd;
   Float.Array.of_list (List.rev !acc)
-
-let deltas nd =
-  let acc = ref [] in
-  visit ~k:ignore ~z:(fun d -> acc := d :: !acc) nd;
-  Array.of_list (List.rev !acc)
-
-(* Everything except coefficients and deltas, as a compact string. *)
-let key t =
-  let b = Buffer.create 64 in
-  let int tag i =
-    Buffer.add_char b tag;
-    Buffer.add_string b (string_of_int i)
-  in
-  int 'r' t.rank;
-  int 's' t.nslots;
-  int 'c' t.nctrs;
-  let rd r =
-    int ' ' r.slot;
-    int '.' r.ctr
-  in
-  let rec go nd =
-    int '(' (List.length nd.linear);
-    List.iter (fun (r, _) -> rd r) nd.linear;
-    List.iter
-      (fun (r, sub) ->
-        Buffer.add_char b 'F';
-        rd r;
-        go sub)
-      nd.factors;
-    List.iter
-      (fun (_, rs) ->
-        int 'R' (List.length rs);
-        List.iter rd rs)
-      nd.residual;
-    Buffer.add_char b ')'
-  in
-  go t.body;
-  Buffer.contents b
 
 (* Layout of the geometry argument: the tile's counts, each counter's base
    and per-axis increments, the output's base and increments. *)
 let ctr_off t c = t.rank + (c * (t.rank + 1))
 let out_off t = ctr_off t t.nctrs
 
-let program t =
-  let b = Buffer.create 4096 in
+(* The body of one form's function; its reads' deltas are literals. *)
+let body t =
+  let b = Buffer.create 2048 in
   let line indent fmt =
     Buffer.add_string b (String.make (2 * indent) ' ');
     Printf.kbprintf (fun b -> Buffer.add_char b '\n') b fmt
   in
   let n = t.rank in
-  line 0 "external fget : floatarray -> int -> float = \"%%floatarray_unsafe_get\"";
-  line 0
-    "external fset : floatarray -> int -> float -> unit = \"%%floatarray_unsafe_set\"";
-  line 0 "external iget : int array -> int -> int = \"%%array_unsafe_get\"";
-  line 0 "external sget : floatarray array -> int -> floatarray = \"%%array_unsafe_get\"";
-  line 0 "external register : string -> 'a -> unit = \"caml_register_named_value\"";
-  line 0 "";
-  line 0 "let run (d : floatarray array) (k : floatarray) (g : int array)";
-  line 1 "(z : int array) =";
   for s = 0 to t.nslots - 1 do
     line 1 "let s%d = sget d %d in" s s
   done;
@@ -115,13 +57,8 @@ let program t =
   for i = 0 to n - 1 do
     line 1 "let oi%d = iget g %d in" i (out_off t + 1 + i)
   done;
-  let nk = Float.Array.length (coeffs t.body) in
-  let nz = Array.length (deltas t.body) in
-  for j = 0 to nk - 1 do
+  for j = 0 to Float.Array.length (coeffs t.body) - 1 do
     line 1 "let k%d = fget k %d in" j j
-  done;
-  for j = 0 to nz - 1 do
-    line 1 "let z%d = iget z %d in" j j
   done;
   (* loop nest: positions at depth i are p<c>_<i>; the innermost level
      binds the plain p<c> and o the body reads *)
@@ -139,38 +76,40 @@ let program t =
     line (ind + 1) "let %s = %s + (x%d * oi%d) in" (name "o") (prev "o" "ob") i i
   done;
   let ind = n + 1 in
-  let nextk = ref 0 and nextz = ref 0 in
-  let take r =
-    let v = !r in
-    incr r;
+  let nextk = ref 0 in
+  let take () =
+    let v = !nextk in
+    incr nextk;
     v
   in
-  let load r zi = Printf.sprintf "fget s%d (p%d + z%d)" r.slot r.ctr zi in
+  let load r =
+    if r.delta = 0 then Printf.sprintf "fget s%d p%d" r.slot r.ctr
+    else
+      Printf.sprintf "fget s%d (p%d %c %d)" r.slot r.ctr
+        (if r.delta < 0 then '-' else '+')
+        (abs r.delta)
+  in
   let rec emit depth nd =
     let a = Printf.sprintf "a%d" depth in
-    line ind "let %s = k%d in" a (take nextk);
+    line ind "let %s = k%d in" a (take ());
     List.iter
-      (fun (r, _) ->
-        let kw = take nextk in
-        let zi = take nextz in
-        line ind "let %s = %s +. (k%d *. %s) in" a a kw (load r zi))
+      (fun (r, _) -> line ind "let %s = %s +. (k%d *. %s) in" a a (take ()) (load r))
       nd.linear;
     List.iter
       (fun (r, sub) ->
-        let zi = take nextz in
         emit (depth + 1) sub;
-        line ind "let %s = %s +. (%s *. a%d) in" a a (load r zi) (depth + 1))
+        line ind "let %s = %s +. (%s *. a%d) in" a a (load r) (depth + 1))
       nd.factors;
     if nd.residual <> [] then begin
       let rv = Printf.sprintf "r%d" depth in
-      line ind "let %s = k%d in" rv (take nextk);
+      line ind "let %s = k%d in" rv (take ());
       List.iter
         (fun (_, rs) ->
-          let kc = take nextk in
           let prod =
             List.fold_left
-              (fun acc r -> Printf.sprintf "%s *. %s" acc (load r (take nextz)))
-              (Printf.sprintf "k%d" kc) rs
+              (fun acc r -> Printf.sprintf "%s *. %s" acc (load r))
+              (Printf.sprintf "k%d" (take ()))
+              rs
           in
           line ind "let %s = %s +. (%s) in" rv rv prod)
         nd.residual;
@@ -184,4 +123,35 @@ let program t =
   done;
   Buffer.contents b
 
-let registration name = Printf.sprintf "\nlet () = register %S run\n" name
+let prelude =
+  {|external fget : floatarray -> int -> float = "%floatarray_unsafe_get"
+external fset : floatarray -> int -> float -> unit = "%floatarray_unsafe_set"
+external iget : int array -> int -> int = "%array_unsafe_get"
+external sget : floatarray array -> int -> floatarray = "%array_unsafe_get"
+external register : string -> 'a -> unit = "caml_register_named_value"
+|}
+
+let program forms =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b prelude;
+  (* forms that print the same function share it *)
+  let seen = Hashtbl.create 8 in
+  let names =
+    Array.map
+      (fun t ->
+        let text = body t in
+        match Hashtbl.find_opt seen text with
+        | Some name -> name
+        | None ->
+            let name = Printf.sprintf "run%d" (Hashtbl.length seen) in
+            Hashtbl.add seen text name;
+            Printf.bprintf b
+              "\nlet %s (d : floatarray array) (k : floatarray) (g : int array) =\n%s"
+              name text;
+            name)
+      forms
+  in
+  Printf.bprintf b "\nlet runs = [| %s |]\n" (String.concat "; " (Array.to_list names));
+  Buffer.contents b
+
+let registration name = Printf.sprintf "\nlet () = register %S runs\n" name

@@ -69,17 +69,22 @@ val cluster_tasks :
 
 type tier = Interp | Compiled
 (** [Interp] walks the expression AST per point (the oracle);
-    [Compiled] instantiates tiles with [Exec.prepare_compiled]. *)
+    [Compiled] runs {!Exec.form}s on the closure or native tier. *)
+
 
 val execute : tier:tier -> Config.t -> t -> Kernel.t
-(** The one executor.  The kernel's [bind] validates every stencil of
-    the group against the grids ([Exec.validate_stencil]; raises
-    [Invalid_argument] before any instance exists), looks parameters up
-    and instantiates every step once.  The instance then runs the waves
-    in order with no lookup.  Every wave is one [Wave] trace span named
-    [<group>/wave<i>] with arguments [group], [wave], [stencil] (the
-    wave label), [points] and [tasks]; it consults the [wave] fault site
-    with that same detail before its body runs.  A wave of one task runs
-    on the calling domain; any other wave is farmed to the pool
-    ([Pool.run_tasks ~points], at [Config.workers] with
-    [Config.serial_cutoff]). *)
+(** The one executor.  Its [bind] takes the meshes' shapes and the
+    parameters to a {e specialisation}: made on first sight, it validates
+    every stencil of the group against those shapes
+    ([Exec.validate_shapes]; raises [Invalid_argument] before any instance
+    exists), lowers every stencil ([Exec.form]; parameters compared by
+    their bits, since a zero drops a monomial) and computes every tile's
+    geometry, reading no mesh data.  Every bind then only attaches mesh
+    data to it, so nothing runs without a certified specialisation.  The
+    instance holds its specialisation and runs the waves in order with no
+    lookup.  Every wave is one [Wave] trace span named [<group>/wave<i>]
+    with arguments [group], [wave], [stencil] (the wave label), [points]
+    and [tasks]; it consults the [wave] fault site with that same detail
+    before its body runs.  A wave of one task runs on the calling domain;
+    any other wave is farmed to the pool ([Pool.run_tasks ~points], at
+    [Config.workers] with [Config.serial_cutoff]). *)

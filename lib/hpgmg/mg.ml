@@ -112,15 +112,17 @@ let reset_profile t = Hashtbl.reset t.timers
 (* Stencil groups built once per solver, at its rank, and reused across
    levels; resolution against each level's shape happens at JIT time, so
    one definition serves the whole hierarchy — the language property
-   §II.A calls out.  Jacobi and Chebyshev relax the constant-coefficient
-   operator; the residual is always the variable-coefficient one. *)
+   §II.A calls out.  GSRB and Jacobi relax the variable-coefficient
+   operator whose residual they reduce.  Chebyshev stays on the
+   constant-coefficient one: its step sizes come from λmax = 4·dims/h²,
+   which bounds that operator's spectrum but not a β-weighted one. *)
 let make_groups ~dims (config : config) =
   let vc = Nd.vc ~dims and cc = Nd.cc ~dims in
   let smoother =
     match config.smoother with
     | Gsrb -> Nd.gsrb vc ~ncolors:2
     | Gsrb4 -> Nd.gsrb vc ~ncolors:4
-    | Jacobi -> Nd.jacobi cc
+    | Jacobi -> Nd.jacobi vc
     | Chebyshev degree -> Nd.chebyshev cc ~degree
   in
   let interp =

@@ -13,9 +13,11 @@ type interp_kind = Constant | Linear
 
 (** Smoother selection, each derived by {!Nd} at the solver's rank.
     [Gsrb] is the paper's benchmark configuration; [Gsrb4] uses the
-    four-colour ordering of Fig. 3b.  [Jacobi] and [Chebyshev] relax the
-    constant-coefficient operator while the residual is always the
-    variable-coefficient one, hence: use them with β ≡ 1. *)
+    four-colour ordering of Fig. 3b.  [Gsrb], [Gsrb4] and [Jacobi] relax
+    the variable-coefficient operator, whose residual the solver reduces.
+    [Chebyshev] relaxes the constant-coefficient operator: its step sizes
+    come from λmax = 4·dims/h², which is not a bound for a β-weighted
+    operator, hence: use it with β ≡ 1. *)
 type smoother = Gsrb | Gsrb4 | Jacobi | Chebyshev of int
 
 type config = {

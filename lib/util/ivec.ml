@@ -10,16 +10,17 @@ let check_rank a b =
   if Array.length a <> Array.length b then
     invalid_arg "Ivec: rank mismatch"
 
-let equal a b = Array.length a = Array.length b && Array.for_all2 ( = ) a b
+let equal (a : t) (b : t) =
+  Array.length a = Array.length b && Array.for_all2 Int.equal a b
 
-let compare a b =
-  let c = Stdlib.compare (Array.length a) (Array.length b) in
+let compare (a : t) (b : t) =
+  let c = Int.compare (Array.length a) (Array.length b) in
   if c <> 0 then c
   else
     let rec go i =
       if i >= Array.length a then 0
       else
-        let c = Stdlib.compare a.(i) b.(i) in
+        let c = Int.compare a.(i) b.(i) in
         if c <> 0 then c else go (i + 1)
     in
     go 0

@@ -33,7 +33,8 @@ let validate_by_building (spec : Gen.spec) =
   let grids = Gen.build_grids spec in
   try
     List.iter
-      (Sf_backends.Exec.validate_stencil grids ~shape:spec.Gen.shape)
+      (Sf_backends.Exec.validate_shapes ~shape:spec.Gen.shape ~grid_shape:(fun g ->
+           Option.map Sf_mesh.Mesh.shape (Sf_mesh.Grids.find_opt grids g)))
       (Snowflake.Group.stencils spec.Gen.group);
     Ok ()
   with Invalid_argument m -> Error m

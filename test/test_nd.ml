@@ -89,6 +89,25 @@ let test_2d_derived_choices_converge () =
       ("Linear", { d with Mg.interp = Mg.Linear }, 1e-6);
     ]
 
+(* Jacobi relaxes the operator whose residual the solver reduces: with a
+   smooth β ≢ 1 a 16³ solve reduces about as well as with β ≡ 1 (4.75e-2
+   against 4.58e-2 after five cycles).  Relaxing the constant-coefficient
+   operator instead read 9.9e-2, twice the β ≡ 1 figure. *)
+let test_jacobi_variable_beta () =
+  let reduction beta =
+    let config = { Mg.default_config with Mg.smoother = Mg.Jacobi } in
+    let solver = Mg.create ~config ~n:16 () in
+    Problem.setup_poisson (Mg.finest solver);
+    Option.iter (Mg.set_beta solver) beta;
+    let norms = Mg.solve ~cycles:5 solver in
+    norms.(5) /. norms.(0)
+  in
+  let one = reduction None and smooth = reduction (Some Problem.beta_smooth) in
+  check_bool
+    (Printf.sprintf "beta_smooth %.2e within 10%% of beta 1 %.2e" smooth one)
+    true
+    (smooth <= 1.1 *. one)
+
 (* Problem.setup_variable draws f from one Random stream in interior
    order, axis 0 outermost; this index-weighted sum of the 8³ level's f
    was recorded with the original i/j/k loop and pins that order. *)
@@ -151,6 +170,8 @@ let () =
             test_2d_derived_choices_converge;
           Alcotest.test_case "smoother plan names running kernel" `Quick
             test_smoother_plan_names_running_kernel;
+          Alcotest.test_case "jacobi relaxes the variable operator" `Quick
+            test_jacobi_variable_beta;
         ] );
       ( "problem",
         [

@@ -929,6 +929,40 @@ let test_cross_tenant_isolation () =
                   Alcotest.fail
                     "A's done ticket was not claimable after B's probe")))
 
+(* Two tenants, one executor: programs that differ only in a constant
+   whose [Hashtbl.hash] collides (23.182 and 38.905) each get their own
+   answer, never the kernel compiled for the other. *)
+let test_two_tenant_identity () =
+  let program k =
+    Printf.sprintf
+      "; sffuzz (v 1)\n\
+       ; sffuzz (seed 0)\n\
+       ; sffuzz (shape 8)\n\
+       ; sffuzz (grid x (8) 5)\n\
+       ; sffuzz (grid y (8) -1)\n\
+       (group scale\n\
+      \ (stencil s (output y) (domain (rect (lo 0) (hi 0)))\n\
+      \  (expr (* (read x (0)) (const %s)))))\n"
+      k
+  in
+  let x = Sf_mesh.Mesh.data (Sf_mesh.Mesh.random ~seed:5 (Ivec.of_list [ 8 ])) in
+  let expect factor = Array.init 8 (fun i -> factor *. Float.Array.get x i) in
+  let config = { Server.default_config with Server.threads = 1 } in
+  with_server ~config (fun t ->
+      List.iter
+        (fun (tenant, text, factor) ->
+          with_conn t ~tenant (fun c ->
+              match Client.solve c (clean_submit (program text)) with
+              | Ok (Client.Solved { grids; _ }) ->
+                  let y = List.find (fun (g : P.grid) -> g.P.gname = "y") grids in
+                  if not (bits_equal (expect factor) y.P.gdata) then
+                    Alcotest.failf "tenant %s: y[0] = %h, expected %h" tenant
+                      y.P.gdata.(0) (expect factor).(0)
+              | Ok (Client.Failed { code; message }) ->
+                  Alcotest.failf "tenant %s: %s: %s" tenant code message
+              | Error m -> Alcotest.failf "tenant %s: transport: %s" tenant m))
+        [ ("a", "23.182", 23.182); ("b", "38.905", 38.905) ])
+
 (* --------------------------------------------- pool at_exit regression *)
 
 (* pool_exit_check exits 3 when the interesting schedule happened (exit
@@ -1054,6 +1088,8 @@ let () =
             test_write_frame_nonblocking;
           Alcotest.test_case "cross-tenant isolation" `Quick
             test_cross_tenant_isolation;
+          Alcotest.test_case "two tenants, colliding constants" `Quick
+            test_two_tenant_identity;
         ] );
       ( "regressions",
         [

@@ -30,6 +30,22 @@ let test_ivec_compare () =
   (* shorter vectors sort first *)
   check_bool "rank order" true (Ivec.compare (Ivec.zero 1) (Ivec.zero 2) < 0)
 
+(* equal and compare agree, look at the rank first and then every
+   element in order, and order signed values numerically *)
+let test_ivec_equal_compare () =
+  let v = Ivec.of_list in
+  check_bool "rank mismatch unequal" false (Ivec.equal (v [ 1; 2 ]) (v [ 1; 2; 3 ]));
+  check_bool "rank before values" true (Ivec.compare (v [ 9 ]) (v [ 0; 0 ]) < 0);
+  check_bool "distinct arrays, equal values" true (Ivec.equal (v [ 4; -5 ]) (v [ 4; -5 ]));
+  check_bool "last element differs" false (Ivec.equal (v [ 4; -5 ]) (v [ 4; 5 ]));
+  check_bool "signed order" true (Ivec.compare (v [ 0; -1 ]) (v [ 0; 0 ]) < 0);
+  check_bool "extremes" true (Ivec.compare (v [ min_int ]) (v [ max_int ]) < 0);
+  List.iter
+    (fun (a, b) ->
+      check_bool "compare = 0 iff equal" (Ivec.equal (v a) (v b))
+        (Ivec.compare (v a) (v b) = 0))
+    [ ([], []); ([ 1 ], [ 1 ]); ([ 1 ], [ 2 ]); ([ 1; 2 ], [ 1 ]); ([ 3; 3 ], [ 3; 3 ]) ]
+
 let test_ivec_rank_mismatch () =
   Alcotest.check_raises "add mismatch"
     (Invalid_argument "Ivec: rank mismatch") (fun () ->
@@ -143,6 +159,8 @@ let () =
         [
           Alcotest.test_case "basic ops" `Quick test_ivec_basic;
           Alcotest.test_case "compare" `Quick test_ivec_compare;
+          Alcotest.test_case "equal/compare by rank then value" `Quick
+            test_ivec_equal_compare;
           Alcotest.test_case "rank mismatch" `Quick test_ivec_rank_mismatch;
           Alcotest.test_case "min/max" `Quick test_ivec_minmax;
           Alcotest.test_case "to_string" `Quick test_ivec_to_string;
