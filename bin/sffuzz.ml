@@ -3,7 +3,7 @@
 
    Generates seeded random well-formed stencil programs, runs each on the
    interpreter (semantic oracle) and on every registered backend
-   configuration, and reports any divergence beyond ULP tolerance.  On a
+   configuration, and reports the first cell whose bits differ.  On a
    failure the program is greedily shrunk and (with --corpus-dir) written
    out as a replayable .sfl counterexample.  Metamorphic oracles check
    pool determinism, plan-certification cleanliness and SF011/NaN
@@ -69,7 +69,7 @@ let run_proto ~seed ~count ~sessions ~steps ~corpus_dir ~replay_dir ~watchdog
         report.Sf_proto_fuzz.Proto_fuzz.failures;
       exit (Sf_proto_fuzz.Proto_fuzz.report_exit_code report)
 
-let run seed count max_dims backend ulps atol shrink max_shrink_evals
+let run seed count max_dims backend shrink max_shrink_evals
     corpus_dir oracles inject replay_dir proto sessions steps watchdog quiet =
   if proto then
     run_proto ~seed ~count ~sessions ~steps ~corpus_dir ~replay_dir ~watchdog
@@ -127,7 +127,7 @@ let run seed count max_dims backend ulps atol shrink max_shrink_evals
         log (Printf.sprintf "no corpus files under %s" dir);
         exit 0
       end;
-      let failed = Sf_fuzz.Driver.replay_paths ~ulps ~atol ?only ~log files in
+      let failed = Sf_fuzz.Driver.replay_paths ?only ~log files in
       log
         (Printf.sprintf "replayed %d corpus file(s), %d failure(s)"
            (List.length files) (List.length failed));
@@ -138,8 +138,6 @@ let run seed count max_dims backend ulps atol shrink max_shrink_evals
           Sf_fuzz.Driver.seed;
           count;
           max_dims;
-          ulps;
-          atol;
           only;
           shrink;
           max_shrink_evals;
@@ -190,13 +188,7 @@ let max_dims_arg =
   Arg.(value & opt int 3 & info [ "max-dims" ] ~doc:"Maximum dimensionality of generated programs (1-3).")
 
 let backend_arg =
-  Arg.(value & opt string "all" & info [ "backend" ] ~doc:"Backends to differentiate against interp: compiled | openmp | opencl | native | all (comma-separable).  native is the native tier forced on, also checked bitwise against compiled.")
-
-let ulps_arg =
-  Arg.(value & opt int 512 & info [ "ulps" ] ~doc:"ULP tolerance for the differential comparison.")
-
-let atol_arg =
-  Arg.(value & opt float 1e-11 & info [ "atol" ] ~doc:"Absolute tolerance (values within it compare equal regardless of ULPs).")
+  Arg.(value & opt string "all" & info [ "backend" ] ~doc:"Backends to compare bit for bit against interp: compiled | openmp | opencl | native | all (comma-separable).  native is the native tier forced on.")
 
 let shrink_arg =
   Arg.(value & opt bool true & info [ "shrink" ] ~doc:"Greedily minimise failing programs (--shrink=false to disable).")
@@ -235,8 +227,8 @@ let cmd =
     (Cmd.info "sffuzz"
        ~doc:"Differential fuzzer and metamorphic test harness for the stencil backends")
     Term.(
-      const run $ seed_arg $ count_arg $ max_dims_arg $ backend_arg $ ulps_arg
-      $ atol_arg $ shrink_arg $ shrink_evals_arg $ corpus_arg $ oracles_arg
+      const run $ seed_arg $ count_arg $ max_dims_arg $ backend_arg
+      $ shrink_arg $ shrink_evals_arg $ corpus_arg $ oracles_arg
       $ inject_arg $ replay_arg $ proto_arg $ sessions_arg $ steps_arg
       $ watchdog_arg $ quiet_arg)
 

@@ -10,318 +10,139 @@ let run_rect_interp grids ~params (s : Stencil.t) rect =
       Mesh.set out (Affine.apply s.Stencil.out_map p) v)
 
 (* ------------------------------------------------------------------- *)
-(* Polynomial stencils: the expression, factored (Polyform.factorize),   *)
-(* becomes a Native_emit.node.  Reads are resolved to a slot (their     *)
-(* grid's data), a counter (one flat position per distinct stride·scale *)
-(* vector, so grids advancing in lockstep share it) and a constant      *)
-(* delta off that counter.  All of this reads grid shapes and parameter *)
-(* values only, so it is done once per specialisation; running a tile  *)
-(* costs index arithmetic only.  The closure tier below evaluates the   *)
-(* node; Native runs it as compiled code once the specialisation is hot.*)
+(* One body for every tier: the stencil's expression, resolved.  Each    *)
+(* read becomes a load from a slot (its grid's data) at a counter (one   *)
+(* flat position per distinct stride·scale vector, so grids advancing in *)
+(* lockstep share it) plus a constant delta; each constant and parameter *)
+(* becomes an index into the form's coefficients, in tree order.  The    *)
+(* operators stay as written, so every tier computes what Expr.eval      *)
+(* computes, in the same order, to the bit.  All of this reads grid      *)
+(* shapes and parameter values only, so it is done once per              *)
+(* specialisation; running a tile costs index arithmetic only.  The      *)
+(* closure tier runs the tree as a register program; Native prints it.  *)
 (* ------------------------------------------------------------------- *)
 
-(* The closure tier evaluates a node one point at a time, performing its
-   float operations in its order.  When every read advances in lockstep
-   (one counter: every HPGMG smoother and residual) the evaluator takes
-   that one position; otherwise it takes the array of counter positions.
-   Both read the same node, so both agree with the emitted code.  An
-   evaluator is staged: the specialisation builds it from the node, and
-   each bound instance applies it to its slot data. *)
-type evaluator = One of (int -> float) | Many of (int array -> float)
-type 'a staged = floatarray array -> 'a
-
-external g : floatarray -> int -> float = "%floatarray_unsafe_get"
+external fget : floatarray -> int -> float = "%floatarray_unsafe_get"
+external fset : floatarray -> int -> float -> unit = "%floatarray_unsafe_set"
 external sl : 'a array -> int -> 'a = "%array_unsafe_get"
 
-(* Arity-specialised inner evaluators for the linear taps of a lockstep
-   node: the common case (CC Laplacian, Jacobi, boundaries, restriction,
-   the factors' sub-nodes) becomes an unrolled multiply-add chain with the
-   tap deltas resident in the closure. *)
-let deg1_inner ~kconst ~(taps : (floatarray * int * float) array) =
-  match taps with
-  | [| (a0, d0, w0) |] -> fun pos -> kconst +. (w0 *. g a0 (pos + d0))
-  | [| (a0, d0, w0); (a1, d1, w1) |] ->
-      fun pos -> kconst +. (w0 *. g a0 (pos + d0)) +. (w1 *. g a1 (pos + d1))
-  | [| (a0, d0, w0); (a1, d1, w1); (a2, d2, w2) |] ->
-      fun pos ->
-        kconst
-        +. (w0 *. g a0 (pos + d0))
-        +. (w1 *. g a1 (pos + d1))
-        +. (w2 *. g a2 (pos + d2))
-  | [| (a0, d0, w0); (a1, d1, w1); (a2, d2, w2); (a3, d3, w3) |] ->
-      fun pos ->
-        kconst
-        +. (w0 *. g a0 (pos + d0))
-        +. (w1 *. g a1 (pos + d1))
-        +. (w2 *. g a2 (pos + d2))
-        +. (w3 *. g a3 (pos + d3))
-  | [|
-   (a0, d0, w0); (a1, d1, w1); (a2, d2, w2); (a3, d3, w3); (a4, d4, w4);
-  |] ->
-      fun pos ->
-        kconst
-        +. (w0 *. g a0 (pos + d0))
-        +. (w1 *. g a1 (pos + d1))
-        +. (w2 *. g a2 (pos + d2))
-        +. (w3 *. g a3 (pos + d3))
-        +. (w4 *. g a4 (pos + d4))
-  | [|
-   (a0, d0, w0);
-   (a1, d1, w1);
-   (a2, d2, w2);
-   (a3, d3, w3);
-   (a4, d4, w4);
-   (a5, d5, w5);
-  |] ->
-      fun pos ->
-        kconst
-        +. (w0 *. g a0 (pos + d0))
-        +. (w1 *. g a1 (pos + d1))
-        +. (w2 *. g a2 (pos + d2))
-        +. (w3 *. g a3 (pos + d3))
-        +. (w4 *. g a4 (pos + d4))
-        +. (w5 *. g a5 (pos + d5))
-  | [|
-   (a0, d0, w0);
-   (a1, d1, w1);
-   (a2, d2, w2);
-   (a3, d3, w3);
-   (a4, d4, w4);
-   (a5, d5, w5);
-   (a6, d6, w6);
-  |] ->
-      fun pos ->
-        kconst
-        +. (w0 *. g a0 (pos + d0))
-        +. (w1 *. g a1 (pos + d1))
-        +. (w2 *. g a2 (pos + d2))
-        +. (w3 *. g a3 (pos + d3))
-        +. (w4 *. g a4 (pos + d4))
-        +. (w5 *. g a5 (pos + d5))
-        +. (w6 *. g a6 (pos + d6))
-  | [|
-   (a0, d0, w0);
-   (a1, d1, w1);
-   (a2, d2, w2);
-   (a3, d3, w3);
-   (a4, d4, w4);
-   (a5, d5, w5);
-   (a6, d6, w6);
-   (a7, d7, w7);
-  |] ->
-      fun pos ->
-        kconst
-        +. (w0 *. g a0 (pos + d0))
-        +. (w1 *. g a1 (pos + d1))
-        +. (w2 *. g a2 (pos + d2))
-        +. (w3 *. g a3 (pos + d3))
-        +. (w4 *. g a4 (pos + d4))
-        +. (w5 *. g a5 (pos + d5))
-        +. (w6 *. g a6 (pos + d6))
-        +. (w7 *. g a7 (pos + d7))
-  | taps ->
-      fun pos ->
-        let acc = ref kconst in
-        for m = 0 to Array.length taps - 1 do
-          let a, d, w = Array.unsafe_get taps m in
-          acc := !acc +. (w *. g a (pos + d))
-        done;
-        !acc
+(* The closure tier runs the tree as a program built once per
+   specialisation: its operators in post-order, each a step over a
+   register file that holds the coefficients, then each distinct load of
+   a point, then one register per step.  Registers are rows of [width]
+   points, so one pass over the steps evaluates a run of points op-major:
+   the same operations in the same order at every point, with the
+   dispatch paid once per run, not once per point. *)
+type program = {
+  nk : int;  (* coefficients: registers [0, nk) *)
+  lctr : int array;  (* per distinct load: its counter, delta and slot *)
+  ldelta : int array;
+  lslot : int array;
+  steps : int array;
+      (* per step: its operator (0 +, 1 -, 2 *, 3 /, 4 negation), then its
+         operands' registers; it writes the next register *)
+  result : int;  (* the register holding the body's value *)
+}
 
-(* Unshared higher-degree monomials, evaluated directly from parallel
-   (unboxed) tables: one loop per monomial degree, in the node's order
-   (its residual is sorted by degree). *)
-let residual_inner (monos : (float * Native_emit.read list) list) :
-    (int -> float) staged =
-  let table deg =
-    let ms = List.filter (fun (_, rs) -> List.length rs = deg) monos in
-    let count = List.length ms in
-    let w = Array.make (max count 1) 0. in
-    let slots = Array.make (max (count * deg) 1) 0 in
-    let deltas = Array.make (max (count * deg) 1) 0 in
-    List.iteri
-      (fun i (c, rs) ->
-        w.(i) <- c;
-        List.iteri
-          (fun t (r : Native_emit.read) ->
-            slots.((i * deg) + t) <- r.slot;
-            deltas.((i * deg) + t) <- r.delta)
-          rs)
-      ms;
-    (count, w, slots, deltas)
-  in
-  let n2, w2, s2, d2 = table 2 in
-  let n3, w3, s3, d3 = table 3 in
-  let n4, w4, s4, d4 = table 4 in
-  fun d ->
-    let a2 = Array.map (sl d) s2 and a3 = Array.map (sl d) s3 in
-    let a4 = Array.map (sl d) s4 in
-    fun pos ->
-      let acc = ref 0. in
-      for m = 0 to n2 - 1 do
-        let b = m * 2 in
-        acc :=
-          !acc
-          +. Array.unsafe_get w2 m
-             *. g (Array.unsafe_get a2 b) (pos + Array.unsafe_get d2 b)
-             *. g
-                  (Array.unsafe_get a2 (b + 1))
-                  (pos + Array.unsafe_get d2 (b + 1))
-      done;
-      for m = 0 to n3 - 1 do
-        let b = m * 3 in
-        acc :=
-          !acc
-          +. Array.unsafe_get w3 m
-             *. g (Array.unsafe_get a3 b) (pos + Array.unsafe_get d3 b)
-             *. g
-                  (Array.unsafe_get a3 (b + 1))
-                  (pos + Array.unsafe_get d3 (b + 1))
-             *. g
-                  (Array.unsafe_get a3 (b + 2))
-                  (pos + Array.unsafe_get d3 (b + 2))
-      done;
-      for m = 0 to n4 - 1 do
-        let b = m * 4 in
-        acc :=
-          !acc
-          +. Array.unsafe_get w4 m
-             *. g (Array.unsafe_get a4 b) (pos + Array.unsafe_get d4 b)
-             *. g
-                  (Array.unsafe_get a4 (b + 1))
-                  (pos + Array.unsafe_get d4 (b + 1))
-             *. g
-                  (Array.unsafe_get a4 (b + 2))
-                  (pos + Array.unsafe_get d4 (b + 2))
-             *. g
-                  (Array.unsafe_get a4 (b + 3))
-                  (pos + Array.unsafe_get d4 (b + 3))
-      done;
-      !acc
+let width = 64
 
-(* The node over one shared position. *)
-let rec eval_one (f : Native_emit.node) : (int -> float) staged =
-  let taps =
-    Array.of_list
-      (List.map (fun ((r : Native_emit.read), w) -> (r.slot, r.delta, w)) f.linear)
+let program nk (body : Native_emit.expr) =
+  let loads = Array.of_list (snd (Native_emit.leaves body)) in
+  let nl = Array.length loads in
+  let steps = ref [] and nsteps = ref 0 in
+  let rec reg : Native_emit.expr -> int = function
+    | K i -> i
+    | Load r -> nk + Option.get (Array.find_index (( = ) r) loads)
+    | Neg a -> step 4 (reg a) 0
+    | Add (a, b) -> let a = reg a in step 0 a (reg b)
+    | Sub (a, b) -> let a = reg a in step 1 a (reg b)
+    | Mul (a, b) -> let a = reg a in step 2 a (reg b)
+    | Div (a, b) -> let a = reg a in step 3 a (reg b)
+  and step code a b =
+    steps := b :: a :: code :: !steps;
+    incr nsteps;
+    nk + nl + !nsteps - 1
   in
-  let subs =
-    Array.of_list
-      (List.map
-         (fun ((r : Native_emit.read), sub) -> (r.slot, r.delta, eval_one sub))
-         f.factors)
-  in
-  let res = match f.residual with [] -> None | monos -> Some (residual_inner monos) in
-  fun d ->
-    let lin =
-      deg1_inner ~kconst:f.const
-        ~taps:(Array.map (fun (s, dl, w) -> (sl d s, dl, w)) taps)
-    in
-    if Array.length subs = 0 && Option.is_none res then lin
-    else
-      let subs = Array.map (fun (s, dl, sub) -> (sl d s, dl, sub d)) subs in
-      let res = Option.map (fun r -> r d) res in
-      fun pos ->
-        let acc = ref (lin pos) in
-        for i = 0 to Array.length subs - 1 do
-          let a, dl, sub = Array.unsafe_get subs i in
-          acc := !acc +. (g a (pos + dl) *. sub pos)
-        done;
-        (match res with Some r -> acc := !acc +. r pos | None -> ());
-        !acc
+  let result = reg body in
+  let field f = Array.map f loads in
+  {
+    nk;
+    lctr = field (fun r -> r.ctr);
+    ldelta = field (fun r -> r.delta);
+    lslot = field (fun r -> r.slot);
+    steps = Array.of_list (List.rev !steps);
+    result;
+  }
 
-(* The same node over one position per counter.  Linear taps sit in
-   parallel arrays: every bound instance keeps its evaluators alive. *)
-let rec eval_many (nd : Native_emit.node) : (int array -> float) staged =
-  let tap (r : Native_emit.read) = (r.slot, r.ctr, r.delta) in
-  let field f =
-    Array.of_list (List.map (fun ((r : Native_emit.read), _) -> f r) nd.linear)
-  in
-  let ls = field (fun r -> r.slot) and lc = field (fun r -> r.ctr) in
-  let ld = field (fun r -> r.delta) in
-  let lw = Float.Array.of_list (List.map snd nd.linear) in
-  let facs = Array.of_list (List.map (fun (r, s) -> (tap r, eval_many s)) nd.factors) in
-  let res =
-    Array.of_list
-      (List.map (fun (w, rs) -> (w, Array.of_list (List.map tap rs))) nd.residual)
-  in
-  let k = nd.const in
-  fun d ->
-    let la = Array.map (sl d) ls in
-    let facs = Array.map (fun ((s, c, dl), sub) -> ((sl d s, c, dl), sub d)) facs in
-    let res =
-      Array.map (fun (w, xs) -> (w, Array.map (fun (s, c, dl) -> (sl d s, c, dl)) xs)) res
-    in
-    fun pos ->
-      let acc = ref k in
-      for i = 0 to Array.length la - 1 do
-        acc :=
-          !acc
-          +. Float.Array.unsafe_get lw i
-             *. g (Array.unsafe_get la i)
-                  (Array.unsafe_get pos (Array.unsafe_get lc i) + Array.unsafe_get ld i)
-      done;
-      for i = 0 to Array.length facs - 1 do
-        let (a, c, dl), sub = Array.unsafe_get facs i in
-        acc := !acc +. (g a (Array.unsafe_get pos c + dl) *. sub pos)
-      done;
-      if Array.length res > 0 then begin
-        let r = ref 0. in
-        for m = 0 to Array.length res - 1 do
-          let w, xs = Array.unsafe_get res m in
-          let q = ref w in
-          for t = 0 to Array.length xs - 1 do
-            let a, c, dl = Array.unsafe_get xs t in
-            q := !q *. g a (Array.unsafe_get pos c + dl)
-          done;
-          r := !r +. !q
-        done;
-        acc := !acc +. !r
-      end;
-      !acc
-
-(* Bodies that are not polynomial (a grid read in a denominator) walk the
-   expression at every point, over positions like [eval_many]'s. *)
-let rec walk ~params ~read (e : Expr.t) : (int array -> float) staged =
-  match e with
-  | Expr.Const c -> fun _ _ -> c
-  | Expr.Param p ->
-      let v = params p in
-      fun _ _ -> v
-  | Expr.Read (gr, m) ->
-      let ({ slot; ctr; delta } : Native_emit.read) = read (gr, m) in
-      fun d ->
-        let a = sl d slot in
-        fun pos -> g a (sl pos ctr + delta)
-  | Expr.Neg a ->
-      let fa = walk ~params ~read a in
-      fun d ->
-        let fa = fa d in
-        fun pos -> -.fa pos
-  | Expr.Add (a, b) | Expr.Sub (a, b) | Expr.Mul (a, b) | Expr.Div (a, b) -> (
-      let fa = walk ~params ~read a and fb = walk ~params ~read b in
-      fun d ->
-        let fa = fa d and fb = fb d in
-        match e with
-        | Expr.Add _ -> fun pos -> fa pos +. fb pos
-        | Expr.Sub _ -> fun pos -> fa pos -. fb pos
-        | Expr.Mul _ -> fun pos -> fa pos *. fb pos
-        | _ -> fun pos -> fa pos /. fb pos)
+(* A run of [m <= width] points: [la] holds each load's slot data, and
+   [pos.(c * width + x)] point [x]'s flat position in counter [c] (the
+   output's is counter [nc]). *)
+let eval_run { nk; lctr; ldelta; steps; result; _ } la regs m pos ~nc out =
+  let nl = Array.length la in
+  for i = 0 to nl - 1 do
+    let a = sl la i and c = sl lctr i * width and dl = sl ldelta i in
+    let r = (nk + i) * width in
+    for x = 0 to m - 1 do
+      fset regs (r + x) (fget a (sl pos (c + x) + dl))
+    done
+  done;
+  for j = 0 to (Array.length steps / 3) - 1 do
+    let a = sl steps ((3 * j) + 1) * width and b = sl steps ((3 * j) + 2) * width in
+    let d = (nk + nl + j) * width in
+    match sl steps (3 * j) with
+    | 0 -> for x = 0 to m - 1 do fset regs (d + x) (fget regs (a + x) +. fget regs (b + x)) done
+    | 1 -> for x = 0 to m - 1 do fset regs (d + x) (fget regs (a + x) -. fget regs (b + x)) done
+    | 2 -> for x = 0 to m - 1 do fset regs (d + x) (fget regs (a + x) *. fget regs (b + x)) done
+    | 3 -> for x = 0 to m - 1 do fset regs (d + x) (fget regs (a + x) /. fget regs (b + x)) done
+    | _ -> for x = 0 to m - 1 do fset regs (d + x) (-.fget regs (a + x)) done
+  done;
+  let r = result * width and o = nc * width in
+  for x = 0 to m - 1 do
+    fset out (sl pos (o + x)) (fget regs (r + x))
+  done
 
 type form = {
-  emit : Native_emit.t option;  (* [None]: not polynomial, closure tier only *)
-  rank : int;
+  emit : Native_emit.t;
   slots : int array;  (* the slots' grids, read grids then the output, by index *)
   ctr_ss : int array array;  (* per counter: stride·scale per axis *)
   coeffs : floatarray;
-  eval : evaluator staged;
+  program : program;
+  run : int;
+      (* points per run: [width], or 1 when a point may read what an
+         earlier point of its tile wrote *)
   out_strides : int array;
   out_map : Affine.t;
 }
 
-let form ~grid ~shapes ~params (s : Stencil.t) =
+(* Whether a point may read a cell that an earlier point of its own tile
+   wrote: a read of the output grid at the output's scale whose offset
+   from the written cell is a nonzero step that stays inside one of the
+   domain's rects, on its lattice (a tile is part of one rect).  Only
+   then must a tile run point by point. *)
+let sees_own_writes ~shape (s : Stencil.t) =
+  let w = s.Stencil.out_map in
+  let rects = Domain.resolve ~shape s.Stencil.domain in
+  let within step (r : Domain.resolved) =
+    Array.for_all2 (fun d st -> d mod st = 0) step r.Domain.rstride
+    && Array.for_all2 (fun d ext -> abs d < ext) step (Array.map2 ( - ) r.Domain.rhi r.Domain.rlo)
+  in
+  List.exists
+    (fun (g, (m : Affine.t)) ->
+      String.equal g s.Stencil.output
+      &&
+      if (not (Ivec.equal m.Affine.scale w.Affine.scale)) || Array.mem 0 m.Affine.scale then true
+      else
+        (* point p reads the cell that point p + step writes *)
+        let gap = Array.map2 ( - ) m.Affine.offset w.Affine.offset in
+        Array.for_all2 (fun g sc -> g mod sc = 0) gap m.Affine.scale
+        &&
+        let step = Array.map2 ( / ) gap m.Affine.scale in
+        Array.exists (( <> ) 0) step && List.exists (within step) rects)
+    (Stencil.reads s)
+
+let form ~shape ~grid ~shapes ~params (s : Stencil.t) =
   let grid_shape g = shapes.(grid g) in
-  let slots = ref [] and ctrs = ref [] in
+  let slots = ref [] and ctrs = ref [] and coeffs = ref [] in
   let index_of l x =
     let rec go i = function
       | [] ->
@@ -331,7 +152,7 @@ let form ~grid ~shapes ~params (s : Stencil.t) =
     in
     go 0 !l
   in
-  let read (g, (m : Affine.t)) : Native_emit.read =
+  let read g (m : Affine.t) : Native_emit.read =
     let strides = Ivec.strides (grid_shape g) in
     {
       slot = index_of slots g;
@@ -339,58 +160,45 @@ let form ~grid ~shapes ~params (s : Stencil.t) =
       delta = Ivec.dot strides m.Affine.offset;
     }
   in
-  let degree (_, rs) = List.length rs in
-  let rec node (f : Polyform.factored) : Native_emit.node =
-    {
-      const = f.Polyform.fconst;
-      linear = List.map (fun (r, w) -> (read r, w)) f.Polyform.flinear;
-      factors = List.map (fun (r, sub) -> (read r, node sub)) f.Polyform.ffactors;
-      residual =
-        List.map
-          (fun (m : Polyform.mono) -> (m.Polyform.coeff, List.map read m.Polyform.reads))
-          f.Polyform.fresidual
-        |> List.stable_sort (fun a b -> compare (degree a) (degree b));
-    }
+  let k c =
+    coeffs := c :: !coeffs;
+    Native_emit.K (List.length !coeffs - 1)
   in
-  let body, eval =
-    match Polyform.of_expr ~params s.Stencil.expr with
-    | Some poly ->
-        let body = node (Polyform.factorize poly) in
-        if List.length !ctrs <= 1 then
-          let f = eval_one body in
-          (Some body, fun d -> One (f d))
-        else
-          let f = eval_many body in
-          (Some body, fun d -> Many (f d))
-    | None ->
-        let f = walk ~params ~read s.Stencil.expr in
-        (None, fun d -> Many (f d))
+  (* left operand first: slots, counters and coefficients in tree order *)
+  let rec resolve : Expr.t -> Native_emit.expr = function
+    | Expr.Const c -> k c
+    | Expr.Param p -> k (params p)
+    | Expr.Read (g, m) -> Load (read g m)
+    | Expr.Neg a -> Neg (resolve a)
+    | Expr.Add (a, b) -> let a = resolve a in Add (a, resolve b)
+    | Expr.Sub (a, b) -> let a = resolve a in Sub (a, resolve b)
+    | Expr.Mul (a, b) -> let a = resolve a in Mul (a, resolve b)
+    | Expr.Div (a, b) -> let a = resolve a in Div (a, resolve b)
   in
+  let body = resolve s.Stencil.expr in
+  let coeffs = Float.Array.of_list (List.rev !coeffs) in
   let out_shape = grid_shape s.Stencil.output in
   let rank = Ivec.dims out_shape in
-  let nslots = List.length !slots in
   {
-    emit =
-      Option.map
-        (fun body -> { Native_emit.rank; nslots; nctrs = List.length !ctrs; body })
-        body;
-    rank;
+    emit = { rank; nslots = List.length !slots; nctrs = List.length !ctrs; body };
     slots = Array.of_list (List.map grid (!slots @ [ s.Stencil.output ]));
     ctr_ss = Array.of_list !ctrs;
-    coeffs = Option.fold ~none:(Float.Array.create 0) ~some:Native_emit.coeffs body;
-    eval;
+    coeffs;
+    program = program (Float.Array.length coeffs) body;
+    run = (if sees_own_writes ~shape s then 1 else width);
     out_strides = Ivec.strides out_shape;
     out_map = s.Stencil.out_map;
   }
 
 let native_form f = f.emit
 
-(* A form attached to one instance's slot data. *)
-type bound = { form : form; data : floatarray array; eval : evaluator }
+(* A form attached to one instance's slot data; [loads] holds each
+   distinct load's. *)
+type bound = { form : form; data : floatarray array; loads : floatarray array }
 
 let attach form data =
   let data = Array.map (Array.get data) form.slots in
-  { form; data; eval = form.eval data }
+  { form; data; loads = Array.map (Array.get data) form.program.lslot }
 
 (* Flat index, at the start of the current row, of the counter (or the
    output) whose geometry starts at [off]; [oidx] holds the outer axes'
@@ -402,44 +210,72 @@ let row_start geom oidx ~inner off =
   done;
   !p
 
+(* A run_cold's buffers.  Each domain keeps one spare set: a tile takes
+   it out while it runs and puts it back, so a thread switching in
+   meanwhile finds none and makes its own, never sharing one. *)
+type scratch = { oidx : int array; pos : int array; regs : floatarray }
+
+let spare = Stdlib.Domain.DLS.new_key (fun () -> Atomic.make None)
+
+let take { emit; ctr_ss; program = p; _ } =
+  let npos = (Array.length ctr_ss + 1) * width in
+  let nregs = (p.nk + Array.length p.lslot + (Array.length p.steps / 3)) * width in
+  match Atomic.exchange (Stdlib.Domain.DLS.get spare) None with
+  | Some s
+    when Array.length s.oidx >= emit.rank
+         && Array.length s.pos >= npos
+         && Float.Array.length s.regs >= nregs ->
+      s
+  | Some s ->
+      {
+        oidx = Array.make (max emit.rank (Array.length s.oidx)) 0;
+        pos = Array.make (max npos (Array.length s.pos)) 0;
+        regs = Float.Array.make (max nregs (Float.Array.length s.regs)) 0.;
+      }
+  | None ->
+      { oidx = Array.make emit.rank 0; pos = Array.make npos 0; regs = Float.Array.make nregs 0. }
+
 (* Run one tile on the closure tier.  [geom] is laid out as
    Native_emit.program reads it: the tile's counts, each counter's base
    and per-axis increments, then the output's; a base's inner-axis
-   increment sits last in its block.  [oidx] and [pos] are scratch
-   buffers owned by the caller's task. *)
-let run_cold { form; data; eval } geom oidx pos =
-  let n = form.rank and nc = Array.length form.ctr_ss in
-  let inner = n - 1 and oo = n + (nc * (n + 1)) in
+   increment sits last in its block.  Points are visited row-major and
+   evaluated in runs of [form.run], which may span rows. *)
+let run_cold { form; data; loads } geom =
+  let ({ oidx; pos; regs } as scratch) = take form in
+  let n = form.emit.rank and nc = Array.length form.ctr_ss in
+  let inner = n - 1 in
   let outer_total = ref 1 in
   for i = 0 to inner - 1 do
     outer_total := !outer_total * geom.(i)
   done;
-  let inner_cnt = geom.(inner) and out_inc = geom.(oo + n) in
-  let out_data = sl data (Array.length data - 1) in
-  Array.fill oidx 0 (Array.length oidx) 0;
+  let len = geom.(inner) and out_data = sl data (Array.length data - 1) in
+  let p = form.program in
+  for k = 0 to p.nk - 1 do
+    Float.Array.fill regs (k * width) (min form.run (!outer_total * len)) (Float.Array.get form.coeffs k)
+  done;
+  Array.fill oidx 0 n 0;
+  let m = ref 0 in
   for _row = 1 to !outer_total do
-    let o = ref (row_start geom oidx ~inner oo) in
-    (match eval with
-    | One f ->
-        let p = ref (if nc = 0 then 0 else row_start geom oidx ~inner n) in
-        let inc = if nc = 0 then 0 else geom.(n + n) in
-        for _ = 1 to inner_cnt do
-          Float.Array.unsafe_set out_data !o (f !p);
-          p := !p + inc;
-          o := !o + out_inc
+    (* the row in pieces that fill the current run *)
+    let x0 = ref 0 in
+    while !x0 < len do
+      let k = min (len - !x0) (form.run - !m) in
+      for c = 0 to nc do
+        (* counter [c], or the output when [c = nc] *)
+        let off = n + (c * (n + 1)) in
+        let st = geom.(off + n) in
+        let at = row_start geom oidx ~inner off + (!x0 * st) and base = (c * width) + !m in
+        for x = 0 to k - 1 do
+          Array.unsafe_set pos (base + x) (at + (x * st))
         done
-    | Many f ->
-        for c = 0 to nc - 1 do
-          pos.(c) <- row_start geom oidx ~inner (n + (c * (n + 1)))
-        done;
-        for _ = 1 to inner_cnt do
-          Float.Array.unsafe_set out_data !o (f pos);
-          o := !o + out_inc;
-          for c = 0 to nc - 1 do
-            Array.unsafe_set pos c
-              (Array.unsafe_get pos c + Array.unsafe_get geom (n + (c * (n + 1)) + n))
-          done
-        done);
+      done;
+      m := !m + k;
+      x0 := !x0 + k;
+      if !m = form.run then begin
+        eval_run p loads regs !m pos ~nc out_data;
+        m := 0
+      end
+    done;
     (* odometer over the outer axes *)
     let i = ref (inner - 1) in
     while !i >= 0 do
@@ -450,7 +286,9 @@ let run_cold { form; data; eval } geom oidx pos =
       end
       else i := -1
     done
-  done
+  done;
+  if !m > 0 then eval_run p loads regs !m pos ~nc out_data;
+  Atomic.set (Stdlib.Domain.DLS.get spare) (Some scratch)
 
 (* One tile's geometry, laid out as [run_cold] and the emitted code read
    it. *)
@@ -475,19 +313,14 @@ let geometry form rect =
     (Array.mapi (fun i st -> st * form.out_map.Affine.scale.(i)) form.out_strides);
   geom
 
-let scratch form = max form.rank (Array.length form.ctr_ss)
-
-let run_tile native b geom oidx pos =
-  match native with
-  | None -> run_cold b geom oidx pos
-  | Some (native, index) -> (
-      match Native.select native with
-      | Native.Run fs -> (Array.unsafe_get fs index) b.data b.form.coeffs geom
-      | Native.Interpret -> run_cold b geom oidx pos
-      | Native.Measure ->
-          let t0 = Native.clock () in
-          run_cold b geom oidx pos;
-          Native.charge native (Native.clock () - t0))
+let run_tile (native, index) b geom =
+  match Native.select native with
+  | Native.Run fs -> (Array.unsafe_get fs index) b.data b.form.coeffs geom
+  | Native.Interpret -> run_cold b geom
+  | Native.Measure ->
+      let t0 = Native.clock () in
+      run_cold b geom;
+      Native.charge native (Native.clock () - t0)
 
 let validate_shapes ~grid_shape ~shape (s : Stencil.t) =
   let n = Ivec.dims shape in

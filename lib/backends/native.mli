@@ -1,10 +1,10 @@
-(** The native tier: hot polynomial stencils as compiled OCaml.
+(** The native tier: hot stencils as compiled OCaml.
 
     The paper's micro-compilers emit C for one stencil at one shape, build
     a shared object, load it and cache it.  This module does the same with
     OCaml, for one {e specialisation} at a time: a kernel's stencils at one
     exact list of grid shapes and parameter values ({!Plan.execute}).  Its
-    polynomial forms print as one module ({!Native_emit.program}) with
+    forms print as one module ({!Native_emit.program}) with
     every read delta a literal and the coefficients runtime values, built
     with [ocamlopt -shared] (the compiler that built this library),
     loaded with [Dynlink], and that specialisation's tiles run through
@@ -39,7 +39,7 @@ type t
     and, once promoted, its loaded module. *)
 
 val make : Native_emit.t array -> t
-(** A cold account for a specialisation's polynomial forms, in the order
+(** A cold account for a specialisation's forms, in the order
     {!Run}'s functions follow. *)
 
 type entry = floatarray array -> floatarray -> int array -> unit

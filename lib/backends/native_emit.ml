@@ -1,31 +1,30 @@
 type read = { slot : int; ctr : int; delta : int }
 
-type node = {
-  const : float;
-  linear : (read * float) list;
-  factors : (read * node) list;
-  residual : (float * read list) list;
-}
+type expr =
+  | K of int
+  | Load of read
+  | Neg of expr
+  | Add of expr * expr
+  | Sub of expr * expr
+  | Mul of expr * expr
+  | Div of expr * expr
 
-type t = { rank : int; nslots : int; nctrs : int; body : node }
+type t = { rank : int; nslots : int; nctrs : int; body : expr }
 
-(* The one traversal order every consumer follows: a node's constant, its
-   linear weights, its factors' sub-nodes, then — when there is a residual
-   — a zero seed and each residual monomial's coefficient. *)
-let coeffs nd =
-  let acc = ref [] in
-  let k c = acc := c :: !acc in
-  let rec visit nd =
-    k nd.const;
-    List.iter (fun (_, w) -> k w) nd.linear;
-    List.iter (fun (_, sub) -> visit sub) nd.factors;
-    if nd.residual <> [] then begin
-      k 0.;
-      List.iter (fun (c, _) -> k c) nd.residual
-    end
+(* The tree's coefficient count and its distinct loads, in first-occurrence
+   order. *)
+let leaves e =
+  let nk = ref 0 and loads = ref [] in
+  let rec go = function
+    | K _ -> incr nk
+    | Load r -> if not (List.mem r !loads) then loads := r :: !loads
+    | Neg a -> go a
+    | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) ->
+        go a;
+        go b
   in
-  visit nd;
-  Float.Array.of_list (List.rev !acc)
+  go e;
+  (!nk, List.rev !loads)
 
 (* Layout of the geometry argument: the tile's counts, each counter's base
    and per-axis increments, the output's base and increments. *)
@@ -57,7 +56,8 @@ let body t =
   for i = 0 to n - 1 do
     line 1 "let oi%d = iget g %d in" i (out_off t + 1 + i)
   done;
-  for j = 0 to Float.Array.length (coeffs t.body) - 1 do
+  let nk, loads = leaves t.body in
+  for j = 0 to nk - 1 do
     line 1 "let k%d = fget k %d in" j j
   done;
   (* loop nest: positions at depth i are p<c>_<i>; the innermost level
@@ -76,48 +76,26 @@ let body t =
     line (ind + 1) "let %s = %s + (x%d * oi%d) in" (name "o") (prev "o" "ob") i i
   done;
   let ind = n + 1 in
-  let nextk = ref 0 in
-  let take () =
-    let v = !nextk in
-    incr nextk;
-    v
+  (* each distinct read loaded once, before the store *)
+  List.iteri
+    (fun i r ->
+      if r.delta = 0 then line ind "let l%d = fget s%d p%d in" i r.slot r.ctr
+      else
+        line ind "let l%d = fget s%d (p%d %c %d) in" i r.slot r.ctr
+          (if r.delta < 0 then '-' else '+')
+          (abs r.delta))
+    loads;
+  let rec expr = function
+    | K i -> Printf.sprintf "k%d" i
+    | Load r -> Printf.sprintf "l%d" (Option.get (List.find_index (( = ) r) loads))
+    | Neg a -> Printf.sprintf "(~-. %s)" (expr a)
+    | Add (a, b) -> binop "+." a b
+    | Sub (a, b) -> binop "-." a b
+    | Mul (a, b) -> binop "*." a b
+    | Div (a, b) -> binop "/." a b
+  and binop op a b = Printf.sprintf "(%s %s %s)" (expr a) op (expr b)
   in
-  let load r =
-    if r.delta = 0 then Printf.sprintf "fget s%d p%d" r.slot r.ctr
-    else
-      Printf.sprintf "fget s%d (p%d %c %d)" r.slot r.ctr
-        (if r.delta < 0 then '-' else '+')
-        (abs r.delta)
-  in
-  let rec emit depth nd =
-    let a = Printf.sprintf "a%d" depth in
-    line ind "let %s = k%d in" a (take ());
-    List.iter
-      (fun (r, _) -> line ind "let %s = %s +. (k%d *. %s) in" a a (take ()) (load r))
-      nd.linear;
-    List.iter
-      (fun (r, sub) ->
-        emit (depth + 1) sub;
-        line ind "let %s = %s +. (%s *. a%d) in" a a (load r) (depth + 1))
-      nd.factors;
-    if nd.residual <> [] then begin
-      let rv = Printf.sprintf "r%d" depth in
-      line ind "let %s = k%d in" rv (take ());
-      List.iter
-        (fun (_, rs) ->
-          let prod =
-            List.fold_left
-              (fun acc r -> Printf.sprintf "%s *. %s" acc (load r))
-              (Printf.sprintf "k%d" (take ()))
-              rs
-          in
-          line ind "let %s = %s +. (%s) in" rv rv prod)
-        nd.residual;
-      line ind "let %s = %s +. %s in" a a rv
-    end
-  in
-  emit 0 t.body;
-  line ind "fset out o a0";
+  line ind "fset out o %s" (expr t.body);
   for i = n - 1 downto 0 do
     line (i + 1) "done"
   done;

@@ -84,10 +84,8 @@ type sstep = Tile of int * int array | Walk of Stencil.t * Domain.resolved
    exact list of grid shapes and parameter values.  Made only once every
    stencil passed the bounds certificate. *)
 type spec = {
-  forms : (Exec.form * (Native.t * int) option) array;
-      (* each with its native function, when it is polynomial *)
+  forms : (Exec.form * (Native.t * int)) array;  (* each with its native function *)
   steps : sstep array array array;  (* per wave, per task *)
-  scratch : int;
 }
 
 (* One process-wide table, keyed by kernel, grid shapes and parameter
@@ -130,15 +128,10 @@ let specialise ~tier ~shape ~grid_names ~shapes ~params group waves =
   in
   let grid g = Option.get (index g) in
   let forms =
-    Array.map (fun s -> Exec.form ~grid ~shapes ~params:(params s) s) stencils
+    Array.map (fun s -> Exec.form ~shape ~grid ~shapes ~params:(params s) s) stencils
   in
-  (* the polynomial forms print as one module: function [j] is the [j]th *)
-  let polys = List.filter_map Exec.native_form (Array.to_list forms) in
-  let native = lazy (Native.make (Array.of_list polys)) in
-  let next = ref (-1) in
-  let native_of f =
-    Exec.native_form f |> Option.map (fun _ -> incr next; (Lazy.force native, !next))
-  in
+  (* the forms print as one module: function [i] is form [i]'s *)
+  let native = lazy (Native.make (Array.map Exec.native_form forms)) in
   let step (s, rect) =
     if Domain.is_empty rect then None
     else if tier = Interp then Some (Walk (s, rect))
@@ -147,12 +140,11 @@ let specialise ~tier ~shape ~grid_names ~shapes ~params group waves =
       Some (Tile (i, Exec.geometry forms.(i) rect))
   in
   {
-    forms = Array.map (fun f -> (f, native_of f)) forms;
+    forms = Array.mapi (fun i f -> (f, (Lazy.force native, i))) forms;
     steps =
       Array.map
         (fun w -> Array.map (fun t -> Array.of_list (List.filter_map step t)) w.tasks)
         waves;
-    scratch = Array.fold_left (fun m f -> max m (Exec.scratch f)) 1 forms;
   }
 
 (* ------------------------------------------------------------ executor *)
@@ -227,9 +219,8 @@ let execute ~tier (cfg : Config.t) plan =
           (Array.to_list (Array.map2 (fun g m -> (g, m)) grid_names meshes))
     in
     let task steps =
-      let oidx = Array.make spec.scratch 0 and pos = Array.make spec.scratch 0 in
       let run = function
-        | Tile (i, geom) -> Exec.run_tile (snd spec.forms.(i)) forms.(i) geom oidx pos
+        | Tile (i, geom) -> Exec.run_tile (snd spec.forms.(i)) forms.(i) geom
         | Walk (s, rect) -> Exec.run_rect_interp grids ~params:(lookup s) s rect
       in
       match steps with

@@ -78,7 +78,7 @@ val execute : tier:tier -> Config.t -> t -> Kernel.t
     every stencil of the group against those shapes
     ([Exec.validate_shapes]; raises [Invalid_argument] before any instance
     exists), lowers every stencil ([Exec.form]; parameters compared by
-    their bits, since a zero drops a monomial) and computes every tile's
+    their bits) and computes every tile's
     geometry, reading no mesh data.  Every bind then only attaches mesh
     data to it, so nothing runs without a certified specialisation.  The
     instance holds its specialisation and runs the waves in order with no

@@ -88,97 +88,3 @@ let eval t ~read_value =
       acc
       +. List.fold_left (fun p r -> p *. read_value r) m.coeff m.reads)
     t.const t.monos
-
-type factored = {
-  fconst : float;
-  flinear : (read * float) list;
-  ffactors : (read * factored) list;
-  fresidual : mono list;
-      (* higher-degree monomials sharing no read with any other: evaluated
-         directly rather than through a singleton factor *)
-}
-
-(* Remove one occurrence of [r] from a sorted read list. *)
-let remove_one r reads =
-  let rec go = function
-    | [] -> None
-    | x :: rest ->
-        if compare_read x r = 0 then Some rest
-        else Option.map (fun rs -> x :: rs) (go rest)
-  in
-  go reads
-
-let rec factorize_monos ~const monos =
-  let linear, higher =
-    List.partition (fun m -> List.length m.reads <= 1) monos
-  in
-  let fconst =
-    const
-    +. List.fold_left
-         (fun acc m -> if m.reads = [] then acc +. m.coeff else acc)
-         0. linear
-  in
-  let flinear =
-    List.filter_map
-      (fun m -> match m.reads with [ r ] -> Some (r, m.coeff) | _ -> None)
-      linear
-  in
-  let rec pull higher acc =
-    match higher with
-    | [] -> (List.rev acc, [])
-    | _ ->
-        (* read occurring in the most remaining higher-degree monomials *)
-        let counts = ref Key.empty in
-        List.iter
-          (fun m ->
-            List.sort_uniq compare_read m.reads
-            |> List.iter (fun r ->
-                   counts :=
-                     Key.update [ r ]
-                       (function None -> Some 1. | Some c -> Some (c +. 1.))
-                       !counts))
-          higher;
-        let best =
-          Key.fold
-            (fun k c (bk, bc) -> if c > bc then (k, c) else (bk, bc))
-            !counts ([], 0.)
-        in
-        let r, best_count =
-          match best with [ r ], c -> (r, c) | _ -> assert false
-        in
-        if best_count < 2. then (List.rev acc, higher)
-        else begin
-          let withr, without =
-            List.partition
-              (fun m -> Option.is_some (remove_one r m.reads))
-              higher
-          in
-          let quotient =
-            List.map
-              (fun m -> { m with reads = Option.get (remove_one r m.reads) })
-              withr
-          in
-          pull without ((r, factorize_monos ~const:0. quotient) :: acc)
-        end
-  in
-  let ffactors, fresidual = pull higher [] in
-  { fconst; flinear; ffactors; fresidual }
-
-let factorize t = factorize_monos ~const:t.const t.monos
-
-let rec eval_factored f ~read_value =
-  let acc =
-    List.fold_left
-      (fun acc (r, w) -> acc +. (w *. read_value r))
-      f.fconst f.flinear
-  in
-  let acc =
-    List.fold_left
-      (fun acc (r, sub) ->
-        acc +. (read_value r *. eval_factored sub ~read_value))
-      acc f.ffactors
-  in
-  List.fold_left
-    (fun acc m ->
-      acc +. List.fold_left (fun p r -> p *. read_value r) m.coeff m.reads)
-    acc f.fresidual

@@ -164,10 +164,10 @@ let load path =
   | Ok spec -> Ok spec
   | Error e -> Error (Printf.sprintf "%s: %s" path e)
 
-let replay ?ulps ?atol ?only path =
+let replay ?only path =
   let* spec = load path in
   let targets = Diff.targets_for ~only ~dims:(Ivec.dims spec.Gen.shape) in
-  match Diff.check ?ulps ?atol ~targets spec with
+  match Diff.check ~targets spec with
   | Ok () -> Ok ()
   | Error d ->
       Error (Printf.sprintf "%s: %s" path (Diff.divergence_to_string d))

@@ -30,7 +30,7 @@ val to_string : ?note:string -> Gen.spec -> string
 val of_string : label:string -> string -> (Gen.spec, string) result
 
 val replay :
-  ?ulps:int -> ?atol:float -> ?only:string list -> string ->
+  ?only:string list -> string ->
   (unit, string) result
 (** Load a file and run the differential check over the default target
     matrix ([only] filters backends, as in {!Diff.targets_for}). *)

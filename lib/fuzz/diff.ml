@@ -46,8 +46,7 @@ let default_targets ~dims =
       apps = 3;
       native = false;
     };
-    (* the native tier, forced on for every structure: besides the interp
-       tolerance it must match the closure tier bit for bit *)
+    (* the native tier, forced on for every specialisation *)
     t ~native:true Jit.Compiled Config.default "native";
     t ~native:true Jit.Openmp (w 4 Config.default) "native/w4";
   ]
@@ -99,13 +98,6 @@ let run_target spec target =
   if target.native then Native.with_mode Native.Force run else run ();
   grids
 
-(* The closure tier's result: what a native target must equal bitwise. *)
-let run_closure spec =
-  let grids = Gen.build_grids spec in
-  let kernel = Jit.compile Jit.Compiled ~shape:spec.shape spec.group in
-  Native.with_mode Native.Off (fun () -> kernel.Kernel.run ~params:spec.params grids);
-  grids
-
 let run_reference ?(apps = 1) spec =
   let grids = Gen.build_grids spec in
   let kernel = Jit.compile Jit.Interp ~shape:spec.shape spec.group in
@@ -114,31 +106,6 @@ let run_reference ?(apps = 1) spec =
     run ()
   done;
   grids
-
-(* The first cell, grid by grid, where [first] finds [got] disagreeing
-   with [reference]. *)
-let compare_with ~first ~oracle ~target reference got =
-  let rec go = function
-    | [] -> Ok ()
-    | name :: rest -> (
-        match first (Grids.find reference name) (Grids.find got name) with
-        | None -> go rest
-        | Some (point, expected, got) ->
-            Error
-              {
-                target;
-                grid = name;
-                point = Array.to_list point;
-                expected;
-                got;
-                oracle;
-                crashed = None;
-              })
-  in
-  go (Grids.names reference)
-
-let compare_grids ~ulps ~atol =
-  compare_with ~first:(Mesh.first_mismatch ~ulps ~atol) ~oracle:"interp"
 
 (* Bit for bit: tells -0. from 0. and NaN payloads apart, unlike a
    0-ULP comparison. *)
@@ -164,10 +131,28 @@ let first_bit_difference a b =
       (point, Float.Array.get da i, Float.Array.get db i))
     (find 0)
 
-let compare_bits =
-  compare_with ~first:first_bit_difference ~oracle:"the closure tier (bitwise)"
+(* The first cell, grid by grid, where [got] differs from [reference]. *)
+let compare_bits ~target reference got =
+  let rec go = function
+    | [] -> Ok ()
+    | name :: rest -> (
+        match first_bit_difference (Grids.find reference name) (Grids.find got name) with
+        | None -> go rest
+        | Some (point, expected, got) ->
+            Error
+              {
+                target;
+                grid = name;
+                point = Array.to_list point;
+                expected;
+                got;
+                oracle = "interp";
+                crashed = None;
+              })
+  in
+  go (Grids.names reference)
 
-let check ?(ulps = 512) ?(atol = 1e-11) ~targets spec =
+let check ~targets spec =
   (* one oracle per application count: a time-tiled target doing k
      applications compares against k interp applications *)
   let references = Hashtbl.create 4 in
@@ -179,7 +164,6 @@ let check ?(ulps = 512) ?(atol = 1e-11) ~targets spec =
         Hashtbl.add references apps g;
         g
   in
-  let closure = lazy (run_closure spec) in
   let rec go = function
     | [] -> Ok ()
     | t :: rest -> (
@@ -198,16 +182,7 @@ let check ?(ulps = 512) ?(atol = 1e-11) ~targets spec =
                 crashed = Some (Printexc.to_string e);
               }
         | got -> (
-            let vs_interp () =
-              compare_grids ~ulps ~atol ~target:t.tname
-                (reference_for (max 1 t.apps))
-                got
-            in
-            let vs_closure () =
-              if t.native then compare_bits ~target:t.tname (Lazy.force closure) got
-              else Ok ()
-            in
-            match Result.bind (vs_interp ()) vs_closure with
+            match compare_bits ~target:t.tname (reference_for (max 1 t.apps)) got with
             | Ok () -> go rest
             | Error d -> Error d))
   in

@@ -3,10 +3,11 @@
     The interpreter walks the expression AST with bounds-checked access
     and is treated as the semantic ground truth; every other backend (and
     every interesting configuration of it — worker counts, explicit
-    tiles, multicolor reordering, tall-skinny OpenCL work groups) must
-    reproduce its results up to {!Sf_util.Fcmp.close} tolerance.  A
-    failure is reported with the target, grid, witness cell and both
-    values — everything needed to triage or shrink. *)
+    tiles, multicolor reordering, tall-skinny OpenCL work groups, the
+    native tier) must reproduce its results bit for bit: every tier runs
+    the stencil's own expression in its order.  A failure is reported
+    with the target, grid, witness cell and both values — everything
+    needed to triage or shrink. *)
 
 type target = {
   backend : Sf_backends.Jit.backend;
@@ -19,9 +20,8 @@ type target = {
           [Custom] backends with [apps > 1] must build the k-application
           kernel themselves. *)
   native : bool;
-      (** run under [Native.Force]: every polynomial structure is promoted
-          to the native tier on first use, and the result must also equal
-          the [compiled] backend's closure-tier result bit for bit *)
+      (** run under [Native.Force]: every specialisation is promoted to
+          the native tier on first use *)
 }
 
 val default_targets : dims:int -> target list
@@ -43,9 +43,7 @@ type divergence = {
   point : int list;
   expected : float;  (** the oracle's value *)
   got : float;
-  oracle : string;
-      (** ["interp"], or the closure tier for a native target's bitwise
-          check *)
+  oracle : string;  (** ["interp"] *)
   crashed : string option;
       (** set when the target raised instead of diverging numerically; the
           other fields are placeholders then ([grid] empty, NaN values) *)
@@ -56,16 +54,12 @@ val divergence_to_string : divergence -> string
 val run_reference : ?apps:int -> Gen.spec -> Sf_mesh.Grids.t
 (** [apps] (default 1) interp applications over fresh grids. *)
 
-val check :
-  ?ulps:int -> ?atol:float -> targets:target list -> Gen.spec ->
-  (unit, divergence) result
+val check : targets:target list -> Gen.spec -> (unit, divergence) result
 (** Run the spec on [interp] and on every target over identically
-    initialised fresh grids; report the first divergence.  Defaults:
-    [ulps = 512], [atol = 1e-11] — roomy enough for the compiled path's
-    polynomial reassociation, tight enough to catch real bugs (a dropped
-    tap or a skipped cell is wrong by whole values, not ULPs).  A target
-    that {e raises} is reported as a divergence with [crashed] set rather
-    than aborting the campaign. *)
+    initialised fresh grids; report the first cell whose bits differ (it
+    tells [-0.] from [0.] and NaN payloads apart).  A target that
+    {e raises} is reported as a divergence with [crashed] set rather than
+    aborting the campaign. *)
 
 (** {2 Fault injection}
 

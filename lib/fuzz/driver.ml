@@ -4,8 +4,6 @@ type options = {
   seed : int;
   count : int;
   max_dims : int;
-  ulps : int;
-  atol : float;
   only : string list option;
   shrink : bool;
   max_shrink_evals : int;
@@ -20,8 +18,6 @@ let default_options =
     seed = 42;
     count = 100;
     max_dims = 3;
-    ulps = 512;
-    atol = 1e-11;
     only = None;
     shrink = true;
     max_shrink_evals = 400;
@@ -53,7 +49,7 @@ let targets opts ~dims =
 
 let check_spec opts spec =
   let dims = Ivec.dims spec.Gen.shape in
-  Diff.check ~ulps:opts.ulps ~atol:opts.atol ~targets:(targets opts ~dims) spec
+  Diff.check ~targets:(targets opts ~dims) spec
 
 let handle_divergence opts spec d =
   let detail = Diff.divergence_to_string d in
@@ -107,10 +103,10 @@ let run opts =
   done;
   { tested = opts.count; failures = List.rev !failures }
 
-let replay_paths ?ulps ?atol ?only ?(log = ignore) paths =
+let replay_paths ?only ?(log = ignore) paths =
   List.filter_map
     (fun path ->
-      match Corpus.replay ?ulps ?atol ?only path with
+      match Corpus.replay ?only path with
       | Ok () ->
           log (Printf.sprintf "replayed %s: ok" path);
           None

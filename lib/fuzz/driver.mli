@@ -10,8 +10,6 @@ type options = {
   seed : int;  (** program [i] of the campaign uses [seed + i] *)
   count : int;
   max_dims : int;
-  ulps : int;
-  atol : float;
   only : string list option;  (** backend filter, as {!Diff.targets_for} *)
   shrink : bool;
   max_shrink_evals : int;
@@ -22,7 +20,7 @@ type options = {
 }
 
 val default_options : options
-(** seed 42, count 100, max_dims 3, ulps 512, atol 1e-11, all backends,
+(** seed 42, count 100, max_dims 3, all backends,
     shrinking on (400 evals), no corpus dir, oracles on, no injection,
     silent log. *)
 
@@ -40,7 +38,7 @@ val run : options -> report
     state in [corpus_dir]). *)
 
 val replay_paths :
-  ?ulps:int -> ?atol:float -> ?only:string list -> ?log:(string -> unit) ->
+  ?only:string list -> ?log:(string -> unit) ->
   string list -> (string * string) list
 (** Replay corpus files; returns [(path, error)] for each failure. *)
 

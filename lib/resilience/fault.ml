@@ -16,6 +16,7 @@ type kind =
   | Inf_poison
   | Kill_rank
   | Delay of float
+  | Fatal
 
 let kind_name = function
   | Raise -> "raise"
@@ -24,6 +25,7 @@ let kind_name = function
   | Inf_poison -> "inf"
   | Kill_rank -> "kill"
   | Delay s -> Printf.sprintf "delay=%g" s
+  | Fatal -> "fatal"
 
 exception Injected of { site : string; kind : kind; detail : string }
 
@@ -51,7 +53,7 @@ type clause = {
 
 (* spec   ::= clause (',' clause)*
    clause ::= site ':' kind ('@' key '=' value)*
-   kind   ::= raise | transient | nan | inf | kill | delay=SECONDS
+   kind   ::= raise | transient | nan | inf | kill | delay=SECONDS | fatal
    key    ::= p | n | count | seed | match          (count accepts "inf") *)
 
 let default_count = function
@@ -66,6 +68,7 @@ let parse_kind s =
   | "nan" -> Ok Nan_poison
   | "inf" -> Ok Inf_poison
   | "kill" -> Ok Kill_rank
+  | "fatal" -> Ok Fatal
   | _ -> (
       match String.index_opt s '=' with
       | Some i when String.sub s 0 i = "delay" -> (
@@ -76,7 +79,7 @@ let parse_kind s =
       | _ ->
           Error
             (Printf.sprintf
-               "unknown fault kind %S (raise|transient|nan|inf|kill|delay=S)" s))
+               "unknown fault kind %S (raise|transient|nan|inf|kill|delay=S|fatal)" s))
 
 let parse_clause text =
   match String.split_on_char '@' (String.trim text) with
@@ -295,4 +298,6 @@ let fire ~site ~detail =
   | Some (Delay s) ->
       Unix.sleepf s;
       Some (Delay s)
+  | Some Fatal ->
+      raise (Assert_failure (Printf.sprintf "injected fatal fault at %s (%s)" site detail, 0, 0))
   | Some kind -> Some kind

@@ -30,6 +30,9 @@ type kind =
   | Inf_poison
   | Kill_rank  (** [Spmd]: mark the rank dead and poison its meshes *)
   | Delay of float  (** sleep this many seconds (slow-chunk injection) *)
+  | Fatal
+      (** raise [Assert_failure] at the site: a fault no supervisor may
+          absorb, which only a host's outermost boundary can contain *)
 
 val kind_name : kind -> string
 
@@ -54,7 +57,7 @@ type clause = {
     {[
       spec   ::= clause (',' clause)*
       clause ::= site ':' kind ('@' key '=' value)*
-      kind   ::= raise | transient | nan | inf | kill | delay=SECONDS
+      kind   ::= raise | transient | nan | inf | kill | delay=SECONDS | fatal
       key    ::= p | n | count | seed | match     -- count accepts "inf"
     ]}
 
@@ -96,7 +99,7 @@ val check : site:string -> detail:string -> kind option
     kind the caller must act on; [None] when nothing fires. *)
 
 val fire : site:string -> detail:string -> kind option
-(** {!check}, then: [Raise]/[Transient] raise {!Injected}; [Delay] sleeps
-    before returning.  Poison/kill kinds are returned for the caller to
+(** {!check}, then: [Raise]/[Transient] raise {!Injected}; [Fatal] raises
+    [Assert_failure]; [Delay] sleeps before returning.  Poison/kill kinds are returned for the caller to
     apply — only the site knows which meshes to corrupt. *)
 

@@ -41,6 +41,7 @@ let err_certification = "certification"
 let err_fault = "fault"
 let err_guard = "guard"
 let err_internal = "internal"
+let err_fatal = "fatal"
 
 type submit = {
   program : string;

@@ -69,6 +69,10 @@ val err_guard : string
 
 val err_internal : string
 
+val err_fatal : string
+(** The solve raised what no boundary absorbs ([Out_of_memory],
+    [Stack_overflow], [Assert_failure]); the executor survives it. *)
+
 (** {2 Messages} *)
 
 type submit = {

@@ -96,6 +96,7 @@ type t = {
   mutable n_busy : int;
   mutable n_coalesced : int;
   mutable executors : Thread.t list;
+  alive : int Atomic.t; (* executor threads inside their loop *)
   started_us : float;
   (* --- parse cache: program text -> spec, FIFO-bounded --- *)
   parse_mx : Mutex.t;
@@ -275,8 +276,20 @@ let execute t job =
           end
           else solve t job))
 
+(* Requests that raised past [Supervisor.protect]: the fatal exceptions it
+   never absorbs. *)
+let fatal_c = Metrics.counter "serve.executor.fatal"
+
 let run_job t job =
-  let outcome = execute t job in
+  let outcome =
+    (* the executor boundary: whatever a solve raises fails its request,
+       never the executor thread *)
+    match execute t job with
+    | outcome -> outcome
+    | exception e ->
+        Atomic.incr fatal_c;
+        Error (Supervisor.verdict_of_exn e)
+  in
   let elapsed = Trace.now_us () -. job.enqueued_us in
   Metrics.observe t.lat_series elapsed;
   Session.finish job.session;
@@ -368,7 +381,8 @@ let executor t () =
           run_job t job;
           loop ()
   in
-  loop ()
+  Atomic.incr t.alive;
+  Fun.protect ~finally:(fun () -> Atomic.decr t.alive) loop
 
 (* ------------------------------------------------------------- creation *)
 
@@ -402,6 +416,7 @@ let create ?(config = default_config) () =
       n_busy = 0;
       n_coalesced = 0;
       executors = [];
+      alive = Atomic.make 0;
       parse_mx = Mutex.create ();
       parsed = Hashtbl.create parse_capacity;
       parse_order = Queue.create ();
@@ -669,6 +684,12 @@ let stats_json t =
          ("uptime_us", Json.Num (Trace.now_us () -. t.started_us));
          ("busy_rejections", num busy);
          ("coalesced_compiles", num coalesced);
+         ( "executors",
+           Json.Obj
+             [
+               ("threads", num (List.length t.executors));
+               ("alive", num (Atomic.get t.alive));
+             ] );
          ( "jit",
            Json.Obj
              [

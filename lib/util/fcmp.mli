@@ -1,11 +1,11 @@
 (** Tolerance-aware floating-point comparison.
 
-    Backends are allowed to reassociate the arithmetic of a stencil
-    expression (the polynomial normal form evaluates monomial tables in a
-    different order than the AST walker), so cross-backend equality is
-    "same value up to a few units in the last place", not bitwise.  This
-    module is the single definition of that notion, shared by the unit
-    tests and the differential fuzzer: a measured distance in ULPs
+    Every backend runs a stencil's expression in its written order, so a
+    backend equals the interpreter bit for bit.  Two {e different}
+    computations of one quantity — a hand-written solver and the DSL's, an
+    expanded normal form and the expression — agree only to "the same
+    value up to a few units in the last place".  This module is the single
+    definition of that notion, shared by the tests: a measured distance in ULPs
     ({!ulp_diff}), a combined ULP-or-absolute predicate ({!close}), and
     array forms over the [floatarray] storage meshes use.
 

@@ -81,17 +81,6 @@ let assert_bitwise name a b =
         (String.concat "," (List.map string_of_int (Ivec.to_list at)))
         va vb
 
-(* cross-backend comparisons use the suite's standard tolerance: backends
-   may associate sums differently (bitwise identity is only promised
-   between plans on the SAME backend) *)
-let assert_close name a b =
-  match Mesh.first_mismatch ~ulps:256 ~atol:1e-12 a b with
-  | None -> ()
-  | Some (at, va, vb) ->
-      Alcotest.failf "%s: first mismatch at %s: %h vs %h" name
-        (String.concat "," (List.map string_of_int (Ivec.to_list at)))
-        va vb
-
 (* ------------------------------------------------- Tiling edge cases *)
 
 let strided_rect () =
@@ -197,7 +186,7 @@ let test_fused_backends_agree () =
       (Jit.compile ~config:cfg backend ~shape group).Kernel.run grids;
       List.iter
         (fun g ->
-          assert_close
+          assert_bitwise
             (Jit.backend_name backend ^ " fused " ^ g)
             (Grids.find reference g) (Grids.find grids g))
         [ "tmp"; "out" ])

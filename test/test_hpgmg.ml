@@ -252,8 +252,10 @@ let prepared_pair n =
   in
   (mk (), mk ())
 
-let agree ?(tol = 1e-10) name m1 m2 =
-  match Mesh.first_mismatch ~ulps:256 ~atol:tol m1 m2 with
+(* Each DSL operator is written in the hand kernel's order, so the two
+   agree bit for bit; only the full solve keeps a tolerance. *)
+let agree ?(ulps = 0) ?(tol = 0.) name m1 m2 =
+  match Mesh.first_mismatch ~ulps ~atol:tol m1 m2 with
   | None -> ()
   | Some (p, a, b) ->
       Alcotest.failf "%s: baseline and DSL differ at %s: %.17g vs %.17g" name
@@ -341,7 +343,9 @@ let test_baseline_full_solver () =
     Mg.vcycle dsl;
     Baseline.vcycle hand
   done;
-  agree ~tol:1e-9 "solver u"
+  (* the two V-cycles are not the same sequence of operations everywhere:
+     after three cycles they differ in the last places *)
+  agree ~ulps:256 ~tol:1e-9 "solver u"
     (Level.u (Mg.finest dsl))
     (Level.u (Baseline.finest hand))
 
@@ -449,31 +453,29 @@ let test_alternative_smoothers_converge () =
   check_bool (Printf.sprintf "jacobi %.2e" jacobi) true (jacobi < 0.1);
   check_bool (Printf.sprintf "chebyshev %.2e" cheb) true (cheb < 1e-3)
 
+(* Every tier runs the stencil's own expression in its order, so a solve
+   equals the interpreter's bit for bit on every backend (test_native
+   checks the native tier the same way). *)
 let test_solver_backends_agree () =
-  let results =
-    List.map
-      (fun backend ->
-        let config = { Mg.default_config with backend } in
-        let solver = Mg.create ~config ~n:8 () in
-        Problem.setup_poisson (Mg.finest solver);
-        for _ = 1 to 2 do
-          Mg.vcycle solver
-        done;
-        Level.u (Mg.finest solver))
-      [ Jit.Interp; Jit.Compiled; Jit.Openmp; Jit.Opencl ]
+  let solve backend =
+    let config = { Mg.default_config with backend } in
+    let solver = Mg.create ~config ~n:8 () in
+    Problem.setup_poisson (Mg.finest solver);
+    Mg.set_beta solver Problem.beta_smooth;
+    for _ = 1 to 2 do
+      Mg.vcycle solver
+    done;
+    Level.u (Mg.finest solver)
   in
-  match results with
-  | reference :: others ->
-      List.iteri
-        (fun i u ->
-          match Mesh.first_mismatch ~ulps:512 ~atol:1e-11 reference u with
-          | None -> ()
-          | Some (p, a, b) ->
-              Alcotest.failf "backend %d differs from interp at %s: %.17g vs \
-                              %.17g"
-                i (Ivec.to_string p) a b)
-        others
-  | [] -> assert false
+  let reference = solve Jit.Interp in
+  List.iter
+    (fun backend ->
+      match Mesh.first_mismatch ~ulps:0 ~atol:0. reference (solve backend) with
+      | None -> ()
+      | Some (p, a, b) ->
+          Alcotest.failf "%s differs from interp at %s: %.17g vs %.17g"
+            (Jit.backend_name backend) (Ivec.to_string p) a b)
+    [ Jit.Compiled; Jit.Openmp; Jit.Opencl ]
 
 let test_helmholtz_smoother () =
   (* a > 0 adds a positive diagonal shift: relaxation converges at least
@@ -664,7 +666,9 @@ let test_profile_breakdown () =
   Problem.setup_poisson (Mg.finest solver);
   Alcotest.(check (list string)) "empty before work" []
     (List.map fst (Mg.profile solver));
-  ignore (Mg.solve ~cycles:2 solver);
+  (* one tier for every level: under Auto, a specialisation that earlier
+     tests in this process made hot runs native while the others do not *)
+  Native.with_mode Native.Off (fun () -> ignore (Mg.solve ~cycles:2 solver));
   let prof = Mg.profile solver in
   let time key =
     match List.assoc_opt key prof with Some s -> s | None -> -1.

@@ -550,6 +550,32 @@ let tenant_completed c tenant =
                 0. ts
           | _ -> 0.))
 
+(* A solve that raises what [Supervisor.protect] re-raises (here an
+   injected [Assert_failure]) fails its request only: the ticket answers
+   REJECTED fatal, the tenant's next request solves, and no executor
+   thread died. *)
+let test_fatal_contained () =
+  let _, program = spec_program 61 in
+  with_server (fun t ->
+      with_conn t ~tenant:"fatal" (fun c ->
+          let fatal0 = Atomic.get (Sf_trace.Metrics.counter "serve.executor.fatal") in
+          (match Client.solve c { (clean_submit program) with P.fault = "kernel:fatal" } with
+          | Ok (Client.Failed { code; message }) ->
+              Alcotest.(check string) "fatal code" P.err_fatal code;
+              Alcotest.(check bool) "exception text" true
+                (String.length message > 0)
+          | Ok (Client.Solved _) -> Alcotest.fail "a fatal fault solved"
+          | Error m -> Alcotest.failf "transport: %s" m);
+          Alcotest.(check int) "counted" (fatal0 + 1)
+            (Atomic.get (Sf_trace.Metrics.counter "serve.executor.fatal"));
+          (match Client.solve c (clean_submit program) with
+          | Ok (Client.Solved _) -> ()
+          | _ -> Alcotest.fail "the next request should solve");
+          let threads = stats_field c [ "executors"; "threads" ] in
+          Alcotest.(check bool) "executors started" true (threads >= 1.);
+          Alcotest.(check (float 0.)) "every executor alive" threads
+            (stats_field c [ "executors"; "alive" ])))
+
 (* A client that hangs up before reading its reply: the server's write
    must surface as EPIPE (SIGPIPE is ignored in Server.create), killing
    only that connection — pre-fix, the default SIGPIPE action killed
@@ -1084,6 +1110,8 @@ let () =
             test_multigrid_result_golden;
           Alcotest.test_case "admission limits" `Quick test_admission_limits;
           Alcotest.test_case "EOF error paths" `Quick test_eof_error_paths;
+          Alcotest.test_case "fatal exception contained" `Quick
+            test_fatal_contained;
           Alcotest.test_case "non-blocking write_frame" `Quick
             test_write_frame_nonblocking;
           Alcotest.test_case "cross-tenant isolation" `Quick
